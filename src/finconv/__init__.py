@@ -42,7 +42,9 @@ from .levy import (
 from .measures import (
     Measure,
     conv_exp,
+    conv_exps,
     conv_power,
+    conv_powers,
     convolve,
     dirac,
     measure,

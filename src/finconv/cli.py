@@ -4,14 +4,14 @@ Exit codes: 0 success, 1 verification/validation failure (a semigroup
 axiom fails, a path fails validation, a root is not certified), 2 input
 error (bad file, bad flag, violated precondition). Primary output goes to
 -o or standard output; diagnostics to standard error. Identical inputs,
-flags, and seed produce byte-identical output for any --threads value.
+flags, and seed produce byte-identical output for any --threads value;
+only root, divisible and bernoulli use more than one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import fileio
@@ -225,9 +225,9 @@ def cmd_levy_exp(args) -> int:
     s = _load_certified(args.model)
     nu = fileio.load_measure(args.measure, s)
     if args.samples:
-        timeline = make_timeline("samples", [float(v) for v in args.samples.split(",")])
+        timeline = make_timeline("samples", args.samples.split(","))
     elif args.rationals:
-        timeline = make_timeline("rationals", [Fraction(v) for v in args.rationals.split(",")])
+        timeline = make_timeline("rationals", args.rationals.split(","))
     else:
         timeline = make_timeline("uniform_grid", args.N)
     path = levy_from_exponential(nu, args.r, timeline, args.tol, threads=args.threads)
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exponentiate, take roots, and build paths on timelines.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker threads for independent subtasks")
+    common.add_argument("--threads", type=int, default=1, help="worker threads for root-search restarts and bernoulli rows; other commands ignore it")
     common.add_argument("-o", "--output", default=None, help="write primary output here instead of standard output")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -475,7 +475,7 @@ def _exp_objective(table, m, zero, target_w, r, tol_exp):
             e = np.zeros(m)
             e[zero] = 1.0
         else:
-            raw = _series_raw(flat, m, zero, w, r, tol_exp)
+            raw = _series_raw(flat, m, zero, w, [r], tol_exp)[0]
             e = raw / math.fsum(raw.tolist())
         cache["key"] = key
         cache["val"] = e

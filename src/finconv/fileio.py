@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -226,14 +225,17 @@ def timeline_to_dict(timeline: Timeline) -> dict:
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
+    if not isinstance(doc, dict):
+        raise ModelError("timeline must be a JSON object")
     kind = doc.get("kind")
-    if kind == UNIFORM_GRID:
-        return make_timeline(UNIFORM_GRID, doc["N"])
-    if kind == RATIONALS:
-        return make_timeline(RATIONALS, [Fraction(t) for t in doc["ticks"]])
-    if kind == SAMPLES:
-        return make_timeline(SAMPLES, doc["ticks"])
-    raise ModelError(f"unknown timeline kind {kind!r}")
+    if kind not in (UNIFORM_GRID, RATIONALS, SAMPLES):
+        raise ModelError(f"unknown timeline kind {kind!r}")
+    key = "N" if kind == UNIFORM_GRID else "ticks"
+    if key not in doc:
+        raise ModelError(f"{kind} timeline needs a {key!r} field")
+    if key == "ticks" and not isinstance(doc[key], list):
+        raise ModelError(f"{kind} timeline ticks must be a list")
+    return make_timeline(kind, doc[key])
 
 
 def path_manifest(path: LevyPath, csv_relpath: str) -> dict:

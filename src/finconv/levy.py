@@ -6,11 +6,19 @@ paths put the exponential at rate t*r at tick t. Validation checks the
 start at the point mass, the increment law X(s+t) = X(s) * X(t) over every
 tick pair whose sum is a tick, and marginal divisibility where both t and
 t/n are ticks.
+
+A path's marginals come from one shared power chain: the exponentials at
+every tick from one Poisson series (conv_exps), the root powers from one
+set of squares (conv_powers), and likewise the powers of each marginal
+that the divisibility check needs. Each marginal is still bit-identical to
+its single-tick conv_exp or conv_power call (see the measures module), so
+sharing changes the cost, not the numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StructureMismatchError, TimelineError
-from .measures import Measure, conv_exp, conv_power, convolve, dirac, tv_distance
-from .parallel import parallel_map
+from .measures import SUM_TOL, Measure, conv_exps, conv_powers, convolve, dirac, tv_distance
 from .structures import certified_zero, same_structure
 
 TICK_MATCH_TOL = 1e-12  # absolute slack when matching real-valued ticks
@@ -59,23 +66,33 @@ class Timeline:
         return len(self.ticks)
 
 
+def _parsed(convert, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TimelineError(f"{what} {value!r} is not a number") from exc
+
+
 def make_timeline(kind: str, params) -> Timeline:
-    """Build a timeline: uniform_grid(N), rationals(list), or samples(list)."""
+    """Build a timeline: uniform_grid(N), rationals(list), or samples(list).
+
+    Ticks may be given as numbers or as their text.
+    """
     if kind == UNIFORM_GRID:
-        n = int(params)
+        n = _parsed(int, params, "grid size")
         if n < 1:
             raise TimelineError("uniform grid needs N >= 1")
         return Timeline(UNIFORM_GRID, tuple(Fraction(k, n) for k in range(n + 1)))
     if kind == RATIONALS:
         ticks = {Fraction(0), Fraction(1)}
         for p in params:
-            f = Fraction(p)
+            f = _parsed(Fraction, p, "tick")
             if not 0 <= f <= 1:
                 raise TimelineError(f"tick {p} outside [0, 1]")
             ticks.add(f)
         return Timeline(RATIONALS, tuple(sorted(ticks)))
     if kind == SAMPLES:
-        values = [float(p) for p in params]
+        values = [_parsed(float, p, "tick") for p in params]
         if not values:
             raise TimelineError("empty sample list")
         for v in values:
@@ -124,13 +141,14 @@ class LevyPath:
 def levy_from_root(nu: Measure, n_steps: int, threads: int = 1) -> LevyPath:
     """Path on the uniform grid with the k-th power of nu at tick k/N.
 
-    Every marginal is computed by binary exponentiation, so the endpoint
-    is bit-identical to conv_power(nu, N).
+    Every marginal is computed by binary exponentiation over one shared
+    set of squares, and is bit-identical to conv_power(nu, k). threads is
+    accepted and ignored.
     """
     if n_steps < 1:
         raise TimelineError("grid needs N >= 1")
     timeline = uniform_grid(n_steps)
-    marginals = parallel_map(lambda k: conv_power(nu, k), range(n_steps + 1), threads)
+    marginals = conv_powers(nu, range(n_steps + 1))
     generator = {
         "kind": "root",
         "N": n_steps,
@@ -143,10 +161,12 @@ def levy_from_root(nu: Measure, n_steps: int, threads: int = 1) -> LevyPath:
 def levy_from_exponential(
     nu: Measure, r: float, timeline: Timeline, tol: float, threads: int = 1
 ) -> LevyPath:
-    """Path with the exponential at rate t*r at tick t; exact point mass at t=0."""
-    marginals = parallel_map(
-        lambda t: conv_exp(nu, float(t) * float(r), tol), timeline.ticks, threads
-    )
+    """Path with the exponential at rate t*r at tick t; exact point mass at t=0.
+
+    Each marginal is bit-identical to conv_exp(nu, t*r, tol). threads is
+    accepted and ignored.
+    """
+    marginals = conv_exps(nu, [float(t) * float(r) for t in timeline.ticks], tol)
     generator = {
         "kind": "exponential",
         "r": float(r),
@@ -199,12 +219,12 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
 
     worst_div, div_at, div_checked = 0.0, None, 0
     for i in range(len(ticks)):
-        for j in range(i + 1, len(ticks)):
-            n = _tick_ratio(ticks[j], ticks[i], path.timeline.kind)
-            if n is None:
-                continue
+        ratios = [(j, _tick_ratio(ticks[j], ticks[i], path.timeline.kind)) for j in range(i + 1, len(ticks))]
+        ratios = [(j, n) for j, n in ratios if n is not None]
+        powers = conv_powers(marg[i], [n for _, n in ratios])
+        for (j, n), powered in zip(ratios, powers):
             div_checked += 1
-            v = tv_distance(conv_power(marg[i], n), marg[j])
+            v = tv_distance(powered, marg[j])
             if v > worst_div:
                 worst_div, div_at = v, (float(ticks[j]), n)
 
@@ -267,7 +287,13 @@ def export_path(path: LevyPath) -> str:
 
 
 def parse_path_csv(text: str, structure) -> LevyPath:
-    """Rebuild a path from export_path output; weights round-trip bit-exactly."""
+    """Rebuild a path from export_path output; weights round-trip bit-exactly.
+
+    Ticks must be finite, strictly increasing and in [0, 1], and each row a
+    finite, non-negative weight vector summing to 1 within SUM_TOL;
+    anything else raises TimelineError, since validating a path relies on
+    both.
+    """
     generator: dict = {}
     ticks: list[float] = []
     rows: list[Measure] = []
@@ -278,7 +304,10 @@ def parse_path_csv(text: str, structure) -> LevyPath:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("generator:"):
-                generator = json.loads(body[len("generator:"):])
+                try:
+                    generator = json.loads(body[len("generator:"):])
+                except json.JSONDecodeError as exc:
+                    raise TimelineError(f"path CSV generator line is not valid JSON: {exc}") from exc
             continue
         if line.startswith("t,"):
             continue
@@ -287,8 +316,21 @@ def parse_path_csv(text: str, structure) -> LevyPath:
             raise TimelineError(
                 f"row has {len(cells) - 1} weights, structure has {structure.size} elements"
             )
-        ticks.append(float(cells[0]))
-        w = np.array([float(c) for c in cells[1:]])
+        t = _parsed(float, cells[0], "tick")
+        if not 0.0 <= t <= 1.0:
+            raise TimelineError(f"tick {cells[0]} outside [0, 1]")
+        if ticks and t <= ticks[-1]:
+            raise TimelineError(f"tick {cells[0]} does not follow {ticks[-1]!r}; ticks must increase")
+        try:
+            w = np.array([float(c) for c in cells[1:]])
+        except ValueError as exc:
+            raise TimelineError(f"row at tick {cells[0]} has a weight that is not a number") from exc
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise TimelineError(f"row at tick {cells[0]} has a negative or non-finite weight")
+        total = math.fsum(w.tolist())
+        if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
+            raise TimelineError(f"row at tick {cells[0]} sums to {total}, not 1 within {SUM_TOL}")
+        ticks.append(t)
         # exported weights are already normalized; keep their exact bits
         rows.append(Measure(w, structure))
     if not rows:

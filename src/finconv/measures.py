@@ -11,6 +11,15 @@ the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C
 through np.bincount in a fixed order, whose worst-case error m^2 * eps
 stays far inside every tolerance asserted at desk scale.
+
+Shared power chains: the series for many rates walks one chain of powers
+mu^(n*), and powers for many exponents reuse one set of squares
+mu^(2^j). Each rate keeps its own Poisson weights, compensated
+accumulator and stop rule, and each exponent multiplies its squares in
+the same bit order, so every result has the bits of its single call; the
+kernels are deterministic, and a shared intermediate is the same array a
+separate call would have built. The stacked accumulators cost
+O(rates * m), the order of the returned measures.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .structures import FiniteStructure, certified_table, certified_zero, same_s
 
 SUM_TOL = 1e-9  # accepted deviation of input weights from total mass 1
 _CLAMP = 1e-9  # most negative weight an internal result may carry before renormalizing
+_SERIES_MAX_RATE = 700  # above it exp(-r) underflows; conv_exp switches to squaring
 
 
 @dataclass(frozen=True)
@@ -132,22 +142,46 @@ def _convolve_raw(flat_table: np.ndarray, m: int, a: np.ndarray, b: np.ndarray) 
     return np.bincount(flat_table, weights=np.multiply.outer(a, b).ravel(), minlength=m)
 
 
+def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) -> list[np.ndarray]:
+    """a^(n*) for each n by binary exponentiation over one set of squares.
+
+    The squares a^(2^j) are built as far as the largest exponent needs.
+    Each power multiplies the squares of its set bits from the lowest up,
+    and a partial product, fixed by the low bits it covers, is computed
+    once and shared by every exponent with those low bits.
+    """
+    squares = [a]
+    partial: dict[int, np.ndarray] = {}  # low bits -> product of their squares
+    out = []
+    for n in ns:
+        if n == 0:
+            unit = np.zeros(m)
+            unit[zero] = 1.0
+            out.append(unit)
+            continue
+        result = None
+        j = 0
+        while True:
+            bit = 1 << j
+            if n & bit:
+                if result is None:
+                    result = squares[j]
+                else:
+                    low = n & (2 * bit - 1)
+                    if low not in partial:
+                        partial[low] = _convolve_raw(flat_table, m, result, squares[j])
+                    result = partial[low]
+            if n >> (j + 1) == 0:
+                break
+            j += 1
+            if j == len(squares):
+                squares.append(_convolve_raw(flat_table, m, squares[-1], squares[-1]))
+        out.append(result)
+    return out
+
+
 def _power_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, n: int) -> np.ndarray:
-    if n == 0:
-        out = np.zeros(m)
-        out[zero] = 1.0
-        return out
-    result = None
-    base = a
-    k = n
-    while True:
-        if k & 1:
-            result = base if result is None else _convolve_raw(flat_table, m, result, base)
-        k >>= 1
-        if k == 0:
-            break
-        base = _convolve_raw(flat_table, m, base, base)
-    return result
+    return _powers_raw(flat_table, m, zero, a, [n])[0]
 
 
 def _correlate_raw(table: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -181,43 +215,92 @@ def translate(mu: Measure, a: int) -> Measure:
 
 def conv_power(mu: Measure, n: int) -> Measure:
     """n-fold self-convolution by binary exponentiation; n = 0 is the point mass at 0."""
-    if n < 0:
+    return conv_powers(mu, [n])[0]
+
+
+def conv_powers(mu: Measure, ns) -> list[Measure]:
+    """conv_power(mu, n) for each n in order, sharing one chain of squares."""
+    ns = list(ns)
+    if any(n < 0 for n in ns):
         raise MeasureError("convolution power requires n >= 0")
     table = certified_table(mu.structure)
     zero = certified_zero(mu.structure)
-    if n == 0:
-        return dirac(mu.structure, zero)
-    if n == 1:
-        return mu
-    out = _power_raw(table.ravel(), mu.size, zero, mu.weights, n)
-    return _from_raw(mu.structure, out)
+    todo = sorted({n for n in ns if n > 1})
+    powers = {0: dirac(mu.structure, zero), 1: mu}
+    for n, w in zip(todo, _powers_raw(table.ravel(), mu.size, zero, mu.weights, todo)):
+        powers[n] = _from_raw(mu.structure, w)
+    return [powers[n] for n in ns]
 
 
-def _series_raw(flat_table, m, zero, w, r, tol):
-    """Poisson-weighted power series, truncated with a certified tail bound.
+def _poisson_terms(r: float, tol: float) -> list[float]:
+    """Poisson(r) weights p_0, ..., p_N of the terms the series keeps.
 
-    Terms are added until the remaining Poisson(r) mass, bounded by the
+    Terms are kept until the remaining Poisson(r) mass, bounded by the
     geometric majorant p_(N+1) / (1 - r/(N+2)), drops below tol/2; since
     each power is a probability, the dropped total-variation mass is at
     most half of that, and the closing renormalization at most doubles it.
     """
-    acc = np.zeros(m)
-    comp = np.zeros(m)
-    power = np.zeros(m)
-    power[zero] = 1.0
     p = math.exp(-r)
+    terms = [p]
     n = 0
     while True:
-        term = p * power - comp
-        t = acc + term
-        comp = (t - acc) - term
-        acc = t
         p_next = p * r / (n + 1)
         if n + 2 > r and p_next / (1.0 - r / (n + 2)) < tol / 2:
-            break
-        power = _convolve_raw(flat_table, m, power, w)
+            return terms
         p = p_next
         n += 1
+        terms.append(p)
+
+
+def _series_raw(flat_table, m, zero, w, rates, tol) -> np.ndarray:
+    """Poisson-weighted power series for each rate, one row per rate.
+
+    One chain power <- power * w serves every row. Row i adds p_n(r_i) *
+    power with compensation until its own stop rule fires (_poisson_terms)
+    and then stays frozen; the chain ends with the longest row.
+    """
+    terms = [_poisson_terms(float(r), tol) for r in rates]
+    order = sorted(range(len(terms)), key=lambda i: -len(terms[i]))
+    length = len(terms[order[0]]) if terms else 0
+    coeffs = np.zeros((len(terms), length))
+    for row, i in enumerate(order):
+        coeffs[row, : len(terms[i])] = terms[i]
+    acc = np.zeros((len(terms), m))
+    comp = np.zeros((len(terms), m))
+    power = np.zeros(m)
+    power[zero] = 1.0
+    live = len(terms)
+    for n in range(length):
+        while len(terms[order[live - 1]]) <= n:
+            live -= 1
+        if n:
+            power = _convolve_raw(flat_table, m, power, w)
+        term = coeffs[:live, n, None] * power - comp[:live]
+        t = acc[:live] + term
+        comp[:live] = (t - acc[:live]) - term
+        acc[:live] = t
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _checked_exp_args(rates, tol) -> list[float]:
+    rates = [float(r) for r in rates]
+    for r in rates:
+        if not math.isfinite(r) or r < 0:
+            raise MeasureError(f"rate must be finite and non-negative, got {r}")
+    if not tol > 0:
+        raise MeasureError(f"tolerance must be positive, got {tol}")
+    return rates
+
+
+def _squaring_raw(flat_table, m, zero, w, r, tol) -> np.ndarray:
+    halvings = max(0, math.ceil(math.log2(r / 0.25))) if r > 0.25 else 0
+    inner_tol = tol / (2.0 ** (halvings + 1))
+    acc = _series_raw(flat_table, m, zero, w, [r / 2.0**halvings], inner_tol)[0]
+    acc = acc / math.fsum(acc.tolist())
+    for _ in range(halvings):
+        acc = _convolve_raw(flat_table, m, acc, acc)
     return acc
 
 
@@ -230,30 +313,39 @@ def conv_exp(mu: Measure, r: float, tol: float, method: str = "series") -> Measu
     each squaring doubles the inherited error, so the inner tolerance is
     scaled down accordingly.
     """
-    r = float(r)
-    if not math.isfinite(r) or r < 0:
-        raise MeasureError(f"rate must be finite and non-negative, got {r}")
-    if not tol > 0:
-        raise MeasureError(f"tolerance must be positive, got {tol}")
+    if method == "series":
+        return conv_exps(mu, [r], tol)[0]
+    (r,) = _checked_exp_args([r], tol)
     table = certified_table(mu.structure)
     zero = certified_zero(mu.structure)
     if r == 0.0:
         return dirac(mu.structure, zero)
-    if method == "series" and r > 700:
-        method = "squaring"  # exp(-r) underflows; squaring stays in range
-    flat = table.ravel()
-    if method == "series":
-        acc = _series_raw(flat, mu.size, zero, mu.weights, r, tol)
-    elif method == "squaring":
-        halvings = max(0, math.ceil(math.log2(r / 0.25))) if r > 0.25 else 0
-        inner_tol = tol / (2.0 ** (halvings + 1))
-        acc = _series_raw(flat, mu.size, zero, mu.weights, r / 2.0**halvings, inner_tol)
-        acc = acc / math.fsum(acc.tolist())
-        for _ in range(halvings):
-            acc = _convolve_raw(flat, mu.size, acc, acc)
-    else:
+    if method != "squaring":
         raise MeasureError(f"unknown conv_exp method {method!r}")
-    return _from_raw(mu.structure, acc)
+    return _from_raw(mu.structure, _squaring_raw(table.ravel(), mu.size, zero, mu.weights, r, tol))
+
+
+def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
+    """conv_exp(mu, r, tol) for each rate in order, from one shared series.
+
+    Rate 0 is the point mass at 0; a rate above 700 runs the squaring
+    scheme on its own, as conv_exp does.
+    """
+    rates = _checked_exp_args(rates, tol)
+    table = certified_table(mu.structure)
+    zero = certified_zero(mu.structure)
+    flat = table.ravel()
+    series = [i for i, r in enumerate(rates) if 0.0 < r <= _SERIES_MAX_RATE]
+    rows = _series_raw(flat, mu.size, zero, mu.weights, [rates[i] for i in series], tol)
+    out: list = [None] * len(rates)
+    for i, row in zip(series, rows):
+        out[i] = _from_raw(mu.structure, row)
+    for i, r in enumerate(rates):
+        if r == 0.0:
+            out[i] = dirac(mu.structure, zero)
+        elif r > _SERIES_MAX_RATE:
+            out[i] = _from_raw(mu.structure, _squaring_raw(flat, mu.size, zero, mu.weights, r, tol))
+    return out
 
 
 def tv_distance(mu: Measure, nu: Measure) -> float:

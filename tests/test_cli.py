@@ -226,6 +226,39 @@ def test_levy_exp_and_validate(files, tmp_path):
     assert strict.returncode == 1
 
 
+def _assert_input_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_levy_validate_rejects_malformed_csv(files, tmp_path):
+    csv = tmp_path / "path.csv"
+    run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "8", "-o", str(csv))
+    lines = csv.read_text().splitlines()
+    head = [line for line in lines if line.startswith(("#", "t,"))]
+    rows = [line for line in lines if line and not line.startswith(("#", "t,"))]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join(head + rows[3:] + rows[:3]) + "\n")
+    _assert_input_error(run_cli("levy-validate", str(files / "c2.json"), str(shuffled)))
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text("\n".join(head + rows[:4] + ["0.5,nan,nan"] + rows[5:]) + "\n")
+    _assert_input_error(run_cli("levy-validate", str(files / "c2.json"), str(nan_row)))
+
+
+def test_bad_timeline_arguments_are_input_errors(files, tmp_path):
+    base = ["levy-exp", str(files / "c2.json"), str(files / "d1.json"), "--r", "1"]
+    _assert_input_error(run_cli(*base, "--rationals", "1/2,abc"))
+    _assert_input_error(run_cli(*base, "--samples", "0.5,abc"))
+    csv = tmp_path / "grid.csv"
+    manifest = tmp_path / "grid.json"
+    proc = run_cli(*base, "--N", "4", "-o", str(csv), "--manifest", str(manifest))
+    assert proc.returncode == 0
+    for timeline in ({"kind": "uniform_grid"}, {"kind": "rationals"}, {"kind": "samples", "ticks": 3}):
+        manifest.write_text(json.dumps({"csv": "grid.csv", "timeline": timeline}))
+        _assert_input_error(run_cli("levy-validate", str(files / "c2.json"), str(manifest)))
+
+
 def test_compare_paths(files):
     proc = run_cli("compare-paths", str(files / "c2.json"), str(files / "mu.json"), str(files / "quarter.json"), "--N", "8")
     assert proc.returncode == 0

@@ -167,6 +167,42 @@ def test_export_row_count_and_round_trip(z8):
     assert fc.validate_levy(back, 3e-9).passed
 
 
+def _export_rows(path):
+    lines = fc.export_path(path).splitlines()
+    head = [line for line in lines if line.startswith(("#", "t,"))]
+    return head, [line for line in lines if line and not line.startswith(("#", "t,"))]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda rows: rows[::-1],  # unsorted ticks
+        lambda rows: rows[:3] + rows[2:],  # a repeated tick
+        lambda rows: rows + ["1.5,0.5,0.5"],  # tick outside [0, 1]
+        lambda rows: ["nan,0.5,0.5"] + rows[1:],  # non-finite tick
+        lambda rows: rows[:2] + ["0.25,nan,0.5"] + rows[3:],  # non-finite weight
+        lambda rows: rows[:2] + ["0.25,0.75,0.75"] + rows[3:],  # off the simplex
+        lambda rows: rows[:2] + ["0.25,1.25,-0.25"] + rows[3:],  # negative weight
+        lambda rows: rows[:2] + ["0.25,abc,0.5"] + rows[3:],  # not a number
+    ],
+    ids=["unsorted", "repeated", "outside", "nan-tick", "nan-weight", "off-simplex", "negative", "text"],
+)
+def test_parse_path_csv_rejects_malformed_rows(c2, mangle):
+    head, rows = _export_rows(fc.levy_from_root(fc.measure(c2, [0.9, 0.1]), 4))
+    fc.parse_path_csv("\n".join(head + rows) + "\n", c2)
+    with pytest.raises(TimelineError):
+        fc.parse_path_csv("\n".join(head + mangle(rows)) + "\n", c2)
+
+
+def test_timeline_ticks_given_as_text():
+    assert fc.make_timeline("rationals", ["1/2", " 1/3"]).ticks == (0, Fraction(1, 3), Fraction(1, 2), 1)
+    assert fc.make_timeline("samples", ["0.5"]).ticks == (0.0, 0.5, 1.0)
+    for kind, params in [("rationals", ["1/2", "abc"]), ("rationals", ["1/0"]), ("samples", ["x"]),
+                         ("uniform_grid", "abc"), ("uniform_grid", None)]:
+        with pytest.raises(TimelineError):
+            fc.make_timeline(kind, params)
+
+
 def test_threads_do_not_change_paths(z8):
     rng = np.random.default_rng(65)
     nu = random_measure(z8, rng)
