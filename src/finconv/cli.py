@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification/validation failure (a semigroup
 axiom fails, a path fails validation, a root is not certified), 2 input
 error (bad file, bad flag, violated precondition). Primary output goes to
 -o or standard output; diagnostics to standard error. Identical inputs,
-flags, and seed produce byte-identical output for any --threads value;
-only root, divisible and bernoulli use more than one thread.
+flags, and seed produce byte-identical output. No command uses threads;
+--threads is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .levy import (
 )
 from .measures import conv_exp, conv_power, convolve, measure_of_event
 from .structures import definable_set, verify_semigroup
-from .parallel import parallel_map
 
 
 def _write(text: str, args) -> None:
@@ -142,7 +141,7 @@ def cmd_exp(args) -> int:
 def cmd_root(args) -> int:
     s = _load_certified(args.model)
     target = fileio.load_measure(args.measure, s)
-    cert = nth_root(target, args.n, _solver_config(args), threads=args.threads)
+    cert = nth_root(target, args.n, _solver_config(args))
     _write(fileio.canonical_json(fileio.root_certificate_to_dict(cert)), args)
     return 0 if cert.verdict == VERDICT_EXACT else 1
 
@@ -150,7 +149,7 @@ def cmd_root(args) -> int:
 def cmd_divisible(args) -> int:
     s = _load_certified(args.model)
     target = fileio.load_measure(args.measure, s)
-    report = is_infinitely_divisible(target, args.n_max, _solver_config(args), threads=args.threads)
+    report = is_infinitely_divisible(target, args.n_max, _solver_config(args))
     _write(fileio.canonical_json(fileio.divisibility_report_to_dict(report)), args)
     return 0 if report.divisible else 1
 
@@ -190,9 +189,7 @@ def cmd_bernoulli(args) -> int:
     s = _load_certified(args.model)
     mu = fileio.load_measure(args.measure, s)
     ks = sorted(_parse_int_list(args.K_list))
-    errors = parallel_map(
-        lambda k: exp_approx_error(mu, args.r, k, args.tol), ks, args.threads
-    )
+    errors = [exp_approx_error(mu, args.r, k, args.tol) for k in ks]
     lines = ["K,tv_error"] + [
         f"{k},{format(err, '.17g')}" for k, err in zip(ks, errors)
     ]
@@ -216,7 +213,7 @@ def _emit_path(path, args) -> None:
 def cmd_levy_root(args) -> int:
     s = _load_certified(args.model)
     nu = fileio.load_measure(args.measure, s)
-    path = levy_from_root(nu, args.N, threads=args.threads)
+    path = levy_from_root(nu, args.N)
     _emit_path(path, args)
     return 0
 
@@ -230,7 +227,7 @@ def cmd_levy_exp(args) -> int:
         timeline = make_timeline("rationals", args.rationals.split(","))
     else:
         timeline = make_timeline("uniform_grid", args.N)
-    path = levy_from_exponential(nu, args.r, timeline, args.tol, threads=args.threads)
+    path = levy_from_exponential(nu, args.r, timeline, args.tol)
     _emit_path(path, args)
     return 0
 
@@ -247,8 +244,8 @@ def cmd_compare_paths(args) -> int:
     s = _load_certified(args.model)
     nu_a = fileio.load_measure(args.left, s)
     nu_b = fileio.load_measure(args.right, s)
-    path_a = levy_from_root(nu_a, args.N, threads=args.threads)
-    path_b = levy_from_root(nu_b, args.N, threads=args.threads)
+    path_a = levy_from_root(nu_a, args.N)
+    path_b = levy_from_root(nu_b, args.N)
     worst, at = compare_paths(path_a, path_b)
     _write(fileio.canonical_json({"max_tv": worst, "at_tick": at, "N": args.N}), args)
     return 0
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exponentiate, take roots, and build paths on timelines.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker threads for root-search restarts and bernoulli rows; other commands ignore it")
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no command uses threads")
     common.add_argument("-o", "--output", default=None, help="write primary output here instead of standard output")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -27,7 +27,7 @@ from .measures import (
     _convolve_raw,
     _correlate_raw,
     _from_raw,
-    _power_raw,
+    _powers_raw,
     _series_raw,
     conv_exp,
     conv_power,
@@ -36,7 +36,6 @@ from .measures import (
     tv_distance,
     uniform,
 )
-from .parallel import parallel_map
 from .structures import certified_table, certified_zero, same_structure
 
 VERDICT_EXACT = "exact_within_tol"
@@ -46,21 +45,24 @@ VERDICT_INFEASIBLE = "infeasible_lower_bound"
 GRID_ORACLE_MAX_SIZE = 3
 DISTINCT_ROOT_TV = 1e-4
 
+# exponentiated-gradient step rule: Armijo backtracking, geometric regrowth
+STEP_INIT = 1.0
+STEP_GROWTH = 1.3
+STEP_SHRINK = 0.5
+ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the simplex descent; the step rule is exponentiated
-    gradient with Armijo backtracking and geometric step regrowth."""
+    """Knobs for the simplex descent and the grid oracle; the step rule is
+    fixed by the module constants STEP_INIT, STEP_GROWTH, STEP_SHRINK and
+    ARMIJO."""
 
     seed: int = 0
     restarts: int = 16
     max_iters: int = 5000
     tol_residual: float = 1e-9
     grid_resolution: int = 64
-    step_init: float = 1.0
-    step_growth: float = 1.3
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -132,14 +134,18 @@ def power_gradient(nu: Measure, n: int, target: Measure) -> np.ndarray:
         raise StructureMismatchError("measures live on different structures")
     table = certified_table(nu.structure)
     zero = certified_zero(nu.structure)
+    return _power_gradient_raw(table, nu.size, zero, nu.weights, n, target.weights)
+
+
+def _power_gradient_raw(table, m, zero, w, n, target_w):
+    """power_gradient on raw weights, shared with the descent objective."""
     flat = table.ravel()
-    m = nu.size
-    prev = _power_raw(flat, m, zero, nu.weights, n - 1)
-    full = _convolve_raw(flat, m, prev, nu.weights)
-    return n * _correlate_raw(table, prev, full - target.weights)
+    prev = _powers_raw(flat, m, zero, w, [n - 1])[0]
+    full = _convolve_raw(flat, m, prev, w)
+    return n * _correlate_raw(table, prev, full - target_w)
 
 
-def _exp_grad_minimize(j_eval, g_eval, init, cfg: SolverConfig, max_iters: int, tol_stop: float):
+def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
     """One descent run; returns (best residual, best point).
 
     j_eval(w) -> (objective, tv residual); g_eval(w) -> gradient. The raw
@@ -158,7 +164,7 @@ def _exp_grad_minimize(j_eval, g_eval, init, cfg: SolverConfig, max_iters: int, 
         obj, tv = j_eval(w)
         if tv < best_tv:
             best_tv, best_w = tv, w.copy()
-    step = cfg.step_init
+    step = STEP_INIT
     g = g_eval(w)
     stall = 0
     marker = best_tv
@@ -174,10 +180,10 @@ def _exp_grad_minimize(j_eval, g_eval, init, cfg: SolverConfig, max_iters: int, 
             w_try = w * np.exp(u)
             w_try /= w_try.sum()
             obj_try, tv_try = j_eval(w_try)
-            if obj_try <= obj - cfg.armijo * step * descent:
+            if obj_try <= obj - ARMIJO * step * descent:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             break
         w, obj = w_try, obj_try
@@ -194,7 +200,7 @@ def _exp_grad_minimize(j_eval, g_eval, init, cfg: SolverConfig, max_iters: int, 
             if stall >= 500:
                 break
         g = g_eval(w)
-        step *= cfg.step_growth
+        step *= STEP_GROWTH
     return best_tv, best_w
 
 
@@ -202,40 +208,16 @@ def _power_objective(table: np.ndarray, m: int, zero: int, target_w: np.ndarray,
     flat = table.ravel()
 
     def j_eval(w):
-        d = _power_raw(flat, m, zero, w, n) - target_w
+        d = _powers_raw(flat, m, zero, w, [n])[0] - target_w
         return 0.5 * float(np.dot(d, d)), 0.5 * math.fsum(np.abs(d).tolist())
 
     def g_eval(w):
-        prev = _power_raw(flat, m, zero, w, n - 1)
-        full = _convolve_raw(flat, m, prev, w)
-        return n * _correlate_raw(table, prev, full - target_w)
+        return _power_gradient_raw(table, m, zero, w, n, target_w)
 
     return j_eval, g_eval
 
 
 # --- the exhaustive simplex grid (m <= 3) ----------------------------------
-
-def _batch_power_residuals(flat, m, zero, points, n, target_w):
-    count = points.shape[0]
-    idx = (np.arange(count) * m)[:, None] + flat[None, :]
-    flat_idx = idx.ravel()
-
-    def bconv(a, b):
-        outer = a[:, :, None] * b[:, None, :]
-        return np.bincount(flat_idx, weights=outer.reshape(count, -1).ravel(), minlength=count * m).reshape(count, m)
-
-    result = None
-    base = points
-    k = n
-    while True:
-        if k & 1:
-            result = base if result is None else bconv(result, base)
-        k >>= 1
-        if k == 0:
-            break
-        base = bconv(base, base)
-    return 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
-
 
 def _grid_candidates(m, lo, hi, res):
     axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(m - 1)]
@@ -267,7 +249,8 @@ def _grid_minimum_residual(table, m, zero, target_w, n, cfg: SolverConfig) -> fl
     half = None
     for _ in range(4):
         pts = _grid_candidates(m, lo, hi, res)
-        vals = _batch_power_residuals(flat, m, zero, pts, n, target_w)
+        result = _powers_raw(flat, m, zero, pts, [n])[0]
+        vals = 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
@@ -288,9 +271,9 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None, threads: 
     Runs cfg.restarts descents: from the target itself, the point mass at
     0, uniform, one anchored start per element, then seeded Dirichlet
     draws. The winner is the lexicographic minimum of (residual, restart
-    index), so results are deterministic for a fixed seed and independent
-    of thread count. For universes of size <= 3 an exhaustive grid scan
-    supplies residual evidence backing an infeasibility verdict.
+    index), so results are deterministic for a fixed seed. For universes of
+    size <= 3 an exhaustive grid scan supplies residual evidence backing an
+    infeasibility verdict. threads is accepted and ignored.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
@@ -314,12 +297,10 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None, threads: 
         inits.append(rng.dirichlet(np.ones(m)))
     inits = inits[: cfg.restarts]
 
-    def run(job):
-        idx, start = job
-        tv, w = _exp_grad_minimize(j_eval, g_eval, start, cfg, cfg.max_iters, cfg.tol_residual)
-        return idx, tv, w
-
-    results = parallel_map(run, list(enumerate(inits)), threads)
+    results = []
+    for idx, start in enumerate(inits):
+        tv, w = _exp_grad_minimize(j_eval, g_eval, start, cfg.max_iters, cfg.tol_residual)
+        results.append((idx, tv, w))
     results.sort(key=lambda r: (r[1], r[0]))
 
     kept: list[Measure] = []
@@ -382,11 +363,12 @@ def semilattice_root_oracle(target: Measure, n: int) -> Measure:
 def is_infinitely_divisible(
     target: Measure, n_max: int, cfg: SolverConfig | None = None, threads: int = 1
 ) -> DivisibilityReport:
-    """Certify n-th roots for every n up to n_max; honest three-way verdicts."""
+    """Certify n-th roots for every n up to n_max; honest three-way verdicts.
+    threads is accepted and ignored."""
     cfg = cfg or SolverConfig()
     if n_max < 2:
         raise MeasureError("n_max must be at least 2")
-    certificates = {n: nth_root(target, n, cfg, threads) for n in range(2, n_max + 1)}
+    certificates = {n: nth_root(target, n, cfg) for n in range(2, n_max + 1)}
     failing = [n for n in sorted(certificates) if certificates[n].verdict != VERDICT_EXACT]
     return DivisibilityReport(
         target=target,
@@ -524,7 +506,7 @@ def fit_levy_khintchine(
         j_eval, g_eval = _exp_objective(table, m, zero, target.weights, r, tol_exp)
         best = None
         for start in inits:
-            tv, w = _exp_grad_minimize(j_eval, g_eval, start, cfg, iters, cfg.tol_residual)
+            tv, w = _exp_grad_minimize(j_eval, g_eval, start, iters, cfg.tol_residual)
             if best is None or tv < best[0]:
                 best = (tv, w)
         return best

@@ -23,6 +23,7 @@ from .levy import (
     Timeline,
     make_timeline,
     parse_path_csv,
+    same_ticks,
 )
 from .measures import Measure, dirac, measure
 from .structures import FiniteStructure, FunctionSymbol, RelationSymbol, SemigroupCertificate
@@ -267,7 +268,7 @@ def load_path(path, structure: FiniteStructure) -> LevyPath:
             raise ModelError(f"cannot read path CSV {csv_file}: {exc}") from exc
         loaded = parse_path_csv(csv_text, structure)
         timeline = timeline_from_dict(doc["timeline"])
-        if len(timeline) != len(loaded.marginals):
-            raise ModelError("manifest timeline does not match the CSV row count")
+        if not same_ticks(timeline, loaded.timeline):
+            raise ModelError("manifest timeline does not match the CSV ticks")
         return LevyPath(timeline, loaded.marginals, doc.get("generator") or loaded.generator)
     return parse_path_csv(text, structure)

@@ -253,15 +253,19 @@ def restrict_path(path: LevyPath, timeline: Timeline) -> LevyPath:
     return LevyPath(timeline, tuple(picked), dict(path.generator))
 
 
+def same_ticks(a: Timeline, b: Timeline) -> bool:
+    """Equal tick counts, and ticks pairwise equal within TICK_MATCH_TOL."""
+    return len(a) == len(b) and all(
+        abs(float(s) - float(t)) <= TICK_MATCH_TOL for s, t in zip(a.ticks, b.ticks)
+    )
+
+
 def compare_paths(a: LevyPath, b: LevyPath) -> tuple[float, float | None]:
     """Largest tick-wise total variation between two paths on equal timelines."""
     if not same_structure(a.structure, b.structure):
         raise StructureMismatchError("paths live on different structures")
-    if len(a.timeline) != len(b.timeline):
+    if not same_ticks(a.timeline, b.timeline):
         raise TimelineError("paths have different timelines")
-    for s, t in zip(a.timeline.ticks, b.timeline.ticks):
-        if abs(float(s) - float(t)) > TICK_MATCH_TOL:
-            raise TimelineError("paths have different timelines")
     worst, at = 0.0, None
     for k, t in enumerate(a.timeline.ticks):
         v = tv_distance(a.marginals[k], b.marginals[k])
@@ -289,7 +293,7 @@ def export_path(path: LevyPath) -> str:
 def parse_path_csv(text: str, structure) -> LevyPath:
     """Rebuild a path from export_path output; weights round-trip bit-exactly.
 
-    Ticks must be finite, strictly increasing and in [0, 1], and each row a
+    Ticks must be finite, strictly increasing from 0 to 1, and each row a
     finite, non-negative weight vector summing to 1 within SUM_TOL;
     anything else raises TimelineError, since validating a path relies on
     both.
@@ -335,5 +339,7 @@ def parse_path_csv(text: str, structure) -> LevyPath:
         rows.append(Measure(w, structure))
     if not rows:
         raise TimelineError("no data rows in path CSV")
+    if ticks[0] != 0.0 or ticks[-1] != 1.0:
+        raise TimelineError(f"path CSV ticks run from {ticks[0]!r} to {ticks[-1]!r}, not from 0 to 1")
     timeline = Timeline(SAMPLES, tuple(ticks))
     return LevyPath(timeline, tuple(rows), generator)

@@ -20,6 +20,13 @@ the same bit order, so every result has the bits of its single call; the
 kernels are deterministic, and a shared intermediate is the same array a
 separate call would have built. The stacked accumulators cost
 O(rates * m), the order of the returned measures.
+
+Measure stacks: the convolution kernel, and the powers built on it, take
+either one vector (m,) or a stack (B, m) of independent rows, as the
+solver's grid scan does. A stack is one bincount in which row b's sums
+land in bins b*m + table[x, y]; bincount adds its inputs in order, so each
+row adds the same products in the same order as the single call on that
+row and keeps its bits.
 """
 
 from __future__ import annotations
@@ -139,7 +146,13 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 # --- raw kernels (shared with the solver) --------------------------------
 
 def _convolve_raw(flat_table: np.ndarray, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.bincount(flat_table, weights=np.multiply.outer(a, b).ravel(), minlength=m)
+    """a * b for one vector (m,) or row by row for a stack (B, m)."""
+    if a.ndim == 1:
+        return np.bincount(flat_table, weights=np.multiply.outer(a, b).ravel(), minlength=m)
+    rows = a.shape[0]
+    idx = (np.arange(rows) * m)[:, None] + flat_table[None, :]
+    outer = a[:, :, None] * b[:, None, :]
+    return np.bincount(idx.ravel(), weights=outer.ravel(), minlength=rows * m).reshape(rows, m)
 
 
 def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) -> list[np.ndarray]:
@@ -148,15 +161,16 @@ def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) ->
     The squares a^(2^j) are built as far as the largest exponent needs.
     Each power multiplies the squares of its set bits from the lowest up,
     and a partial product, fixed by the low bits it covers, is computed
-    once and shared by every exponent with those low bits.
+    once and shared by every exponent with those low bits. A stack a of
+    shape (B, m) gets the powers of every row at once.
     """
     squares = [a]
     partial: dict[int, np.ndarray] = {}  # low bits -> product of their squares
     out = []
     for n in ns:
         if n == 0:
-            unit = np.zeros(m)
-            unit[zero] = 1.0
+            unit = np.zeros_like(a)
+            unit[..., zero] = 1.0
             out.append(unit)
             continue
         result = None
@@ -178,10 +192,6 @@ def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) ->
                 squares.append(_convolve_raw(flat_table, m, squares[-1], squares[-1]))
         out.append(result)
     return out
-
-
-def _power_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, n: int) -> np.ndarray:
-    return _powers_raw(flat_table, m, zero, a, [n])[0]
 
 
 def _correlate_raw(table: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -170,7 +170,11 @@ class FiniteStructure:
 
 
 def same_structure(a: FiniteStructure, b: FiniteStructure) -> bool:
-    return a is b or (a.size == b.size and a.fingerprint == b.fingerprint)
+    """Same universe, symbols and chosen semigroup; the fingerprint leaves the
+    semigroup spec out, so it is compared on its own."""
+    return a is b or (
+        a.size == b.size and a.semigroup_spec == b.semigroup_spec and a.fingerprint == b.fingerprint
+    )
 
 
 # --- Formula evaluation -------------------------------------------------

@@ -259,6 +259,20 @@ def test_bad_timeline_arguments_are_input_errors(files, tmp_path):
         _assert_input_error(run_cli("levy-validate", str(files / "c2.json"), str(manifest)))
 
 
+def test_manifest_ticks_must_match_csv_ticks(files, tmp_path):
+    csv = tmp_path / "thirds.csv"
+    manifest = tmp_path / "thirds.json"
+    proc = run_cli(
+        "levy-exp", str(files / "c2.json"), str(files / "d1.json"), "--r", "1",
+        "--rationals", "1/3,2/3", "-o", str(csv), "--manifest", str(manifest),
+    )
+    assert proc.returncode == 0
+    assert run_cli("levy-validate", str(files / "c2.json"), str(manifest)).returncode == 0
+    # same tick count as the CSV, different ticks
+    manifest.write_text(json.dumps({"csv": "thirds.csv", "timeline": {"kind": "rationals", "ticks": ["1/4", "3/4"]}}))
+    _assert_input_error(run_cli("levy-validate", str(files / "c2.json"), str(manifest)))
+
+
 def test_compare_paths(files):
     proc = run_cli("compare-paths", str(files / "c2.json"), str(files / "mu.json"), str(files / "quarter.json"), "--N", "8")
     assert proc.returncode == 0

@@ -115,6 +115,21 @@ def test_convolve_structure_mismatch(c2, j2):
         fc.convolve(fc.dirac(c2, 0), fc.dirac(j2, 0))
 
 
+def test_convolve_rejects_same_symbols_with_another_semigroup():
+    # equal universes and symbol tables, but one adds by xor and one by max
+    functions = {
+        "add": fc.FunctionSymbol(2, np.array([[0, 1], [1, 0]])),
+        "other": fc.FunctionSymbol(2, np.array([[0, 1], [1, 1]])),
+    }
+    by_xor = certified(fc.FiniteStructure(2, functions, semigroup={"function": "add"}))
+    by_max = certified(fc.FiniteStructure(2, functions, semigroup={"function": "other"}))
+    a, b = fc.dirac(by_xor, 1), fc.dirac(by_max, 1)
+    with pytest.raises(StructureMismatchError):
+        fc.convolve(a, b)
+    with pytest.raises(StructureMismatchError):
+        fc.convolve(b, a)
+
+
 def test_translate(c2, j2):
     mu = fc.measure(c2, [0.3, 0.7])
     assert fc.translate(mu, 1).weights == pytest.approx([0.7, 0.3], abs=1e-15)

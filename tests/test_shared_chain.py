@@ -2,7 +2,10 @@
 
 conv_exps and conv_powers walk one chain for many rates or exponents, and
 the path constructors use them; every result must carry exactly the bits
-of the corresponding conv_exp or conv_power call.
+of the corresponding conv_exp or conv_power call. Likewise the convolution
+kernel and the powers on a (B, m) stack must give each row the bits of the
+single call on it, and the grid oracle and the descent gradient built on
+them must keep the bits of their former private loops.
 """
 
 import math
@@ -15,7 +18,9 @@ from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
+from finconv.divisibility import SolverConfig, _grid_candidates, _grid_minimum_residual, _power_gradient_raw
 from finconv.errors import MeasureError
+from finconv.measures import _convolve_raw, _powers_raw
 from finconv.structures import certified_table, certified_zero
 from helpers import certified
 
@@ -160,3 +165,141 @@ def test_empty_and_invalid_requests(z8):
             fc.conv_exps(mu, rates, tol)
     with pytest.raises(MeasureError):
         fc.conv_powers(mu, [2, -1])
+
+
+# --- the stacked kernel ---------------------------------------------------------
+
+GRID_ORDERS = st.sampled_from([1, 2, 3, 7, 16, 33])
+
+
+@st.composite
+def stacks(draw, max_size=18):
+    """A catalog monoid of at most max_size elements and a (B, m) stack of
+    measures on it, B >= 1."""
+    kind = draw(st.sampled_from(["cyclic", "chain", "product"]))
+    a = draw(st.integers(1, min(6, max_size)))
+    b = draw(st.integers(1, min(3, max_size // a))) if kind == "product" else 0
+    s = _monoid(kind, a, b, draw(st.integers(-1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = rng.dirichlet(np.ones(s.size), size=draw(st.sampled_from([1, 2, 3, 8])))
+    if draw(st.booleans()):
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[:, 0] += 1e-3
+        rows /= rows.sum(axis=1, keepdims=True)
+    return s, rows
+
+
+def _raw(s):
+    return certified_table(s).ravel(), s.size, certified_zero(s)
+
+
+def old_batch_power_residuals(flat, m, zero, points, n, target_w):
+    """The grid's former private power loop, kept as the reference."""
+    count = points.shape[0]
+    idx = (np.arange(count) * m)[:, None] + flat[None, :]
+    flat_idx = idx.ravel()
+
+    def bconv(a, b):
+        outer = a[:, :, None] * b[:, None, :]
+        return np.bincount(flat_idx, weights=outer.reshape(count, -1).ravel(), minlength=count * m).reshape(count, m)
+
+    result = None
+    base = points
+    k = n
+    while True:
+        if k & 1:
+            result = base if result is None else bconv(result, base)
+        k >>= 1
+        if k == 0:
+            break
+        base = bconv(base, base)
+    return 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
+
+
+def old_grid_minimum_residual(table, m, zero, target_w, n, res):
+    """The refinement loop of _grid_minimum_residual over the reference residuals."""
+    if m == 1:
+        return float(abs(1.0 - target_w[0]))
+    lo, hi = np.zeros(m - 1), np.ones(m - 1)
+    best_val, best_pt, half = math.inf, None, None
+    for _ in range(4):
+        pts = _grid_candidates(m, lo, hi, res)
+        vals = old_batch_power_residuals(table.ravel(), m, zero, pts, n, target_w)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_pt = float(vals[k]), pts[k]
+        step = (hi - lo).max() / res
+        half = step if half is None else half / 4.0
+        lo = np.clip(best_pt[: m - 1] - half, 0.0, 1.0)
+        hi = np.clip(best_pt[: m - 1] + half, 0.0, 1.0)
+    return best_val
+
+
+def raw_power(flat, m, zero, w, n):
+    """Binary exponentiation of one raw vector, n = 0 giving the unit."""
+    if n == 0:
+        unit = np.zeros(m)
+        unit[zero] = 1.0
+        return unit
+    result, base = None, w
+    while True:
+        if n & 1:
+            result = base if result is None else _convolve(flat, m, result, base)
+        n >>= 1
+        if n == 0:
+            return result
+        base = _convolve(flat, m, base, base)
+
+
+@SETTINGS
+@given(stacks(), st.data())
+def test_stacked_convolution_rows_keep_single_call_bits(stack, data):
+    s, a = stack
+    flat, m, _ = _raw(s)
+    b = a[np.random.default_rng(data.draw(st.integers(0, 99))).permutation(a.shape[0])]
+    out = _convolve_raw(flat, m, a, b)
+    assert out.shape == a.shape
+    for i in range(a.shape[0]):
+        assert out[i].tobytes() == _convolve_raw(flat, m, a[i], b[i]).tobytes()
+        assert out[i].tobytes() == _convolve(flat, m, a[i], b[i]).tobytes()
+
+
+@SETTINGS
+@given(stacks(), st.lists(EXPONENTS, min_size=1, max_size=6))
+def test_stacked_powers_rows_keep_single_call_bits(stack, ns):
+    s, a = stack
+    flat, m, zero = _raw(s)
+    out = _powers_raw(flat, m, zero, a, ns)
+    for n, power in zip(ns, out):
+        assert power.shape == a.shape
+        for i in range(a.shape[0]):
+            assert power[i].tobytes() == _powers_raw(flat, m, zero, a[i], [n])[0].tobytes()
+
+
+@SETTINGS
+@given(stacks(max_size=3), GRID_ORDERS, st.sampled_from([2, 7, 16]))
+def test_grid_minimum_matches_former_batch_loop(stack, n, res):
+    s, rows = stack
+    table, m, zero = certified_table(s), s.size, certified_zero(s)
+    target = rows[0]
+    got = _grid_minimum_residual(table, m, zero, target, n, SolverConfig(grid_resolution=res))
+    assert got == old_grid_minimum_residual(table, m, zero, target, n, res)
+    # any stack, not only grid points, scores as under the former loop
+    stacked = 0.5 * np.abs(_powers_raw(table.ravel(), m, zero, rows, [n])[0] - target[None, :]).sum(axis=1)
+    assert stacked.tobytes() == old_batch_power_residuals(table.ravel(), m, zero, rows, n, target).tobytes()
+
+
+@SETTINGS
+@given(stacks(), st.integers(1, 40))
+def test_power_gradient_keeps_former_formula_bits(stack, n):
+    s, rows = stack
+    table = certified_table(s)
+    flat, m, zero = _raw(s)
+    w, target = rows[0], rows[-1]
+    prev = raw_power(flat, m, zero, w, n - 1)
+    full = _convolve(flat, m, prev, w)
+    expected = n * (prev[:, None] * (full - target)[table]).sum(axis=0)
+    assert _power_gradient_raw(table, m, zero, w, n, target).tobytes() == expected.tobytes()
+    nu, tgt = fc.measure(s, w), fc.measure(s, target)
+    direct = _power_gradient_raw(table, m, zero, nu.weights, n, tgt.weights)
+    assert fc.power_gradient(nu, n, tgt).tobytes() == direct.tobytes()
