@@ -22,7 +22,11 @@ def _names(m: int) -> dict[str, int]:
     return {str(i): i for i in range(m)}
 
 
-def from_add_table(table, element_names: dict[str, int] | None = None) -> FiniteStructure:
+def from_add_table(
+    table,
+    element_names: dict[str, int] | None = None,
+    relations: dict[str, RelationSymbol] | None = None,
+) -> FiniteStructure:
     """Structure whose semigroup is given directly by an addition table."""
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -31,6 +35,7 @@ def from_add_table(table, element_names: dict[str, int] | None = None) -> Finite
     return FiniteStructure(
         m,
         functions={"add": FunctionSymbol(2, arr)},
+        relations=relations,
         constants={"zero": 0} if (arr[0] == np.arange(m)).all() else {},
         element_names=element_names if element_names is not None else _names(m),
         semigroup={"function": "add"},
@@ -46,9 +51,10 @@ def cyclic_group(m: int) -> FiniteStructure:
 def chain_semilattice(m: int) -> FiniteStructure:
     """The chain 0 < 1 < ... < m-1 under join (max), with a leq relation."""
     i = np.arange(m)
-    s = from_add_table(np.maximum(i[:, None], i[None, :]))
-    s.relations["leq"] = RelationSymbol(2, i[:, None] <= i[None, :])
-    return s
+    return from_add_table(
+        np.maximum(i[:, None], i[None, :]),
+        relations={"leq": RelationSymbol(2, i[:, None] <= i[None, :])},
+    )
 
 
 LUB_FORMULA = (

@@ -36,9 +36,25 @@ def canonical_json(obj) -> str:
 
 # --- models -----------------------------------------------------------------
 
+def _integer(v, what: str) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise ModelError(f"{what} must be an integer, got {v!r}")
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ModelError(f"{key!r} must be an object keyed by symbol name")
+    return value
+
+
 def structure_from_dict(doc: dict) -> FiniteStructure:
     universe = doc.get("universe")
-    if isinstance(universe, int):
+    if type(universe) is int:
         size = universe
         names: dict[str, int] | None = None
     elif isinstance(universe, list):
@@ -54,13 +70,13 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
             if names is None or v not in names:
                 raise ModelError(f"unknown element name {v!r}")
             return names[v]
-        return int(v)
+        return _integer(v, "an element")
 
     def resolve_nested(node, depth):
         if depth == 0:
             return resolve(node)
-        if not isinstance(node, list):
-            raise ModelError("function table has the wrong nesting depth")
+        if not isinstance(node, list) or len(node) != size:
+            raise ModelError(f"function table must nest lists of length {size} to depth {depth}")
         return [resolve_nested(child, depth - 1) for child in node]
 
     def field(spec, sym, key):
@@ -69,23 +85,28 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
         return spec[key]
 
     functions = {}
-    for sym, spec in (doc.get("functions") or {}).items():
-        arity = int(field(spec, sym, "arity"))
+    for sym, spec in _section(doc, "functions").items():
+        arity = _integer(field(spec, sym, "arity"), f"arity of {sym!r}")
         table = np.asarray(resolve_nested(field(spec, sym, "table"), arity), dtype=np.int64)
         functions[sym] = FunctionSymbol(arity, table)
     relations = {}
-    for sym, spec in (doc.get("relations") or {}).items():
-        arity = int(field(spec, sym, "arity"))
-        tuples = [[resolve(v) for v in row] for row in field(spec, sym, "tuples")]
-        relations[sym] = RelationSymbol.from_tuples(arity, tuples, size)
-    constants = {sym: resolve(v) for sym, v in (doc.get("constants") or {}).items()}
+    for sym, spec in _section(doc, "relations").items():
+        arity = _integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        rows = field(spec, sym, "tuples")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ModelError(f"tuples of {sym!r} must be a list of lists")
+        relations[sym] = RelationSymbol.from_tuples(arity, [[resolve(v) for v in row] for row in rows], size)
+    constants = {sym: resolve(v) for sym, v in _section(doc, "constants").items()}
+    semigroup = doc.get("semigroup")
+    if semigroup is not None and not isinstance(semigroup, dict):
+        raise ModelError('"semigroup" must be an object')
     return FiniteStructure(
         size,
         functions=functions,
         relations=relations,
         constants=constants,
         element_names=names,
-        semigroup=doc.get("semigroup"),
+        semigroup=semigroup,
     )
 
 

@@ -9,6 +9,11 @@ vector is the general case).
 Formula evaluation enumerates quantifiers over the whole universe; a
 formula with q nested quantifier/grid axes costs m**q and is rejected
 beyond the evaluation budget.
+
+Semigroup certification holds the m**3 boolean graph of the sum (1 byte
+per cell) and checks associativity one x-slice at a time: O(m**2) scratch
+per slice when sums are unique, and m**3 float32 counts per slice, O(m**5)
+time in all, when they are not.
 """
 
 from __future__ import annotations
@@ -112,8 +117,10 @@ class FiniteStructure:
                     raise ModelError(f"element name {name!r} = {idx} outside the universe")
         if self.semigroup_spec is not None:
             keys = set(self.semigroup_spec)
-            if keys not in ({"formula"}, {"function"}):
-                raise ModelError('semigroup spec must be {"formula": ...} or {"function": ...}')
+            if keys not in ({"formula"}, {"function"}) or not all(
+                isinstance(v, str) for v in self.semigroup_spec.values()
+            ):
+                raise ModelError('semigroup spec must be {"formula": ...} or {"function": ...} with a string')
             if "function" in self.semigroup_spec:
                 fn = self.semigroup_spec["function"]
                 if fn not in self.functions or self.functions[fn].arity != 2:
@@ -302,10 +309,15 @@ class SemigroupCertificate:
         raise KeyError(name)
 
 
-def _first_true(mask: np.ndarray) -> tuple[int, ...]:
-    # C-order argwhere is the lexicographic scan
-    idx = np.argwhere(mask)[0]
-    return tuple(int(v) for v in idx)
+def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True in C order, the lexicographic scan, or None.
+
+    argmax allocates nothing the size of mask, unlike argwhere, which
+    lists every True."""
+    i = int(np.argmax(mask))
+    if not mask.flat[i]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
 def semigroup_formula(s: FiniteStructure) -> fm.Formula:
@@ -328,6 +340,14 @@ def verify_semigroup(
     given the previous axioms, which is verified rather than assumed). On
     success the addition table and neutral index are extracted. Axiom
     failures are reported in the certificate, not raised.
+
+    Cost: the graph of theta is an m**3 boolean array (1 byte per cell;
+    building it takes one more transiently, as does the commutativity
+    check). Associativity is checked one x-slice at a time, in scan order,
+    stopping at the first slice that fails. When sums are unique that takes
+    O(m**2) scratch per slice and O(m**3) time in all; otherwise each slice
+    multiplies 0/1 matrices into m**3 float32 counts, on top of a float32
+    copy of the graph, for O(m**5) time in all.
     """
     if theta is None:
         theta = semigroup_formula(s)
@@ -339,34 +359,36 @@ def verify_semigroup(
     m = s.size
     graph = evaluate_region(s, theta, SEMIGROUP_VARS)
 
-    counts = np.count_nonzero(graph, axis=2)
-    bad_pairs = counts != 1
-    holds1 = not bad_pairs.any()
-    cex1 = None if holds1 else _first_true(bad_pairs)
+    cex1 = _first_true(np.count_nonzero(graph, axis=2) != 1)
+    holds1 = cex1 is None
     add = np.argmax(graph, axis=2).astype(np.int64) if holds1 else None
 
-    comm_bad = graph != graph.transpose(1, 0, 2)
-    holds2 = not comm_bad.any()
-    cex2 = None if holds2 else _first_true(comm_bad)
+    cex2 = _first_true(graph != graph.transpose(1, 0, 2))
+    holds2 = cex2 is None
 
+    # the first failing x-slice holds the lexicographically first counterexample
+    cex3 = None
     if holds1:
-        left = add[add]  # left[x,y,z] = add[add[x,y], z]
-        right = add[np.arange(m)[:, None, None], add[None, :, :]]
-        assoc_bad = left != right
-        holds3 = not assoc_bad.any()
-        if holds3:
-            cex3 = None
-        else:
-            x, y, z = _first_true(assoc_bad)
-            # the biconditional over (x,y,z,w) first fails at the smaller sum
-            cex3 = (x, y, z, int(min(left[x, y, z], right[x, y, z])))
+        for x in range(m):
+            row = add[x]
+            left = add[row]  # left[y,z] = add[add[x,y], z]
+            right = row[add]  # right[y,z] = add[x, add[y,z]]
+            yz = _first_true(left != right)
+            if yz is not None:
+                # the biconditional over (x,y,z,w) first fails at the smaller sum
+                cex3 = (x, *yz, int(min(left[yz], right[yz])))
+                break
     else:
+        # sums of at most m products of 0/1 values: exact in float32
         gf = graph.astype(np.float32)
-        lhs = np.einsum("xyv,vzw->xyzw", gf, gf, optimize=True) > 0.5
-        rhs = np.einsum("yzu,xuw->xyzw", gf, gf, optimize=True) > 0.5
-        assoc_bad = lhs != rhs
-        holds3 = not assoc_bad.any()
-        cex3 = None if holds3 else _first_true(assoc_bad)
+        for x in range(m):
+            lhs = (gf[x] @ gf.reshape(m, m * m)).reshape(m, m, m) > 0.5  # [y,z,w]: (x+y)+z ~ w
+            rhs = (gf.reshape(m * m, m) @ gf[x]).reshape(m, m, m) > 0.5  # [y,z,w]: x+(y+z) ~ w
+            yzw = _first_true(lhs != rhs)
+            if yzw is not None:
+                cex3 = (x, *yzw)
+                break
+    holds3 = cex3 is None
 
     diag = graph[:, np.arange(m), np.arange(m)]  # diag[x,y] = theta(x,y,y)
     witnesses = np.flatnonzero(diag.all(axis=1))

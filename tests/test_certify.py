@@ -1,0 +1,201 @@
+"""Slice-wise semigroup certification against the former whole-cube code.
+
+verify_semigroup checks associativity one x-slice at a time and stops at
+the first failing slice. Its certificates must equal those of the former
+code, kept below as the reference, on random function tables and random
+ternary relations; and its peak allocation must stay a few bytes per cell
+of the m**3 graph.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import finconv as fc
+from finconv import catalog
+from finconv.structures import AXIOM_NAMES, AxiomCheck, FiniteStructure, RelationSymbol, SemigroupCertificate
+from helpers import certified
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _former_certificate(graph: np.ndarray) -> SemigroupCertificate:
+    """The former verify_semigroup body from the graph on: m**3 int64 cubes
+    on the functional branch, m**4 float32 einsums on the relational one."""
+
+    def first_true(mask):
+        idx = np.argwhere(mask)[0]
+        return tuple(int(v) for v in idx)
+
+    m = graph.shape[0]
+    counts = np.count_nonzero(graph, axis=2)
+    bad_pairs = counts != 1
+    holds1 = not bad_pairs.any()
+    cex1 = None if holds1 else first_true(bad_pairs)
+    add = np.argmax(graph, axis=2).astype(np.int64) if holds1 else None
+
+    comm_bad = graph != graph.transpose(1, 0, 2)
+    holds2 = not comm_bad.any()
+    cex2 = None if holds2 else first_true(comm_bad)
+
+    if holds1:
+        left = add[add]
+        right = add[np.arange(m)[:, None, None], add[None, :, :]]
+        assoc_bad = left != right
+        holds3 = not assoc_bad.any()
+        if holds3:
+            cex3 = None
+        else:
+            x, y, z = first_true(assoc_bad)
+            cex3 = (x, y, z, int(min(left[x, y, z], right[x, y, z])))
+    else:
+        gf = graph.astype(np.float32)
+        lhs = np.einsum("xyv,vzw->xyzw", gf, gf, optimize=True) > 0.5
+        rhs = np.einsum("yzu,xuw->xyzw", gf, gf, optimize=True) > 0.5
+        assoc_bad = lhs != rhs
+        holds3 = not assoc_bad.any()
+        cex3 = None if holds3 else first_true(assoc_bad)
+
+    diag = graph[:, np.arange(m), np.arange(m)]
+    witnesses = np.flatnonzero(diag.all(axis=1))
+    holds4 = witnesses.size > 0
+    zero = int(witnesses[0]) if witnesses.size == 1 else None
+    return SemigroupCertificate(
+        add_table=add,
+        zero=zero,
+        axioms=(
+            AxiomCheck(AXIOM_NAMES[0], holds1, cex1),
+            AxiomCheck(AXIOM_NAMES[1], holds2, cex2),
+            AxiomCheck(AXIOM_NAMES[2], holds3, cex3),
+            AxiomCheck(AXIOM_NAMES[3], holds4, None),
+        ),
+    )
+
+
+def _graph_of(table: np.ndarray) -> np.ndarray:
+    m = table.shape[0]
+    graph = np.zeros((m, m, m), dtype=bool)
+    x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    graph[x, y, table] = True
+    return graph
+
+
+def _relation_structure(graph: np.ndarray) -> FiniteStructure:
+    return FiniteStructure(
+        graph.shape[0],
+        relations={"theta": RelationSymbol(3, graph)},
+        semigroup={"formula": "theta(x, y, z)"},
+    )
+
+
+def _assert_same(got: SemigroupCertificate, want: SemigroupCertificate) -> None:
+    assert got.axioms == want.axioms
+    assert got.zero == want.zero
+    if want.add_table is None:
+        assert got.add_table is None
+    else:
+        assert got.add_table.dtype == np.int64
+        assert np.array_equal(got.add_table, want.add_table)
+
+
+def _monoid_table(draw, rng) -> np.ndarray:
+    """A catalog monoid of size at most 8, maybe relabelled at random (a
+    neutral element at 0 makes the x = 0 slice pass)."""
+    kind = draw(st.sampled_from(["cyclic", "chain", "product"]))
+    if kind == "product":
+        chain = catalog.chain_semilattice(draw(st.integers(1, 4)))
+        s = catalog.product_of(certified(catalog.cyclic_group(2)), certified(chain))
+    else:
+        make = catalog.cyclic_group if kind == "cyclic" else catalog.chain_semilattice
+        s = make(draw(st.integers(1, 8)))
+    table = fc.verify_semigroup(s).add_table
+    if draw(st.booleans()):
+        return table.copy()
+    perm = rng.permutation(table.shape[0])
+    inv = np.argsort(perm)
+    return perm[table[inv[:, None], inv[None, :]]]
+
+
+@st.composite
+def tables(draw):
+    """Random tables, symmetric ones, and monoids with one or two entries
+    changed (symmetrically or not), so that associativity fails in any slice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "symmetric", "perturbed", "monoid"]))
+    if kind in ("random", "symmetric"):
+        m = draw(st.integers(1, 8))
+        table = rng.integers(0, m, size=(m, m))
+        if kind == "symmetric":
+            table = np.triu(table) + np.triu(table, 1).T
+        return table
+    table = _monoid_table(draw, rng)
+    m = table.shape[0]
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 2))):
+            x, y = (int(v) for v in rng.integers(0, m, size=2))
+            table[x, y] = rng.integers(0, m)
+            if draw(st.booleans()):
+                table[y, x] = table[x, y]
+    return table
+
+
+@st.composite
+def relations(draw):
+    """Random ternary relations, graphs of the tables above, and monoid
+    graphs with tuples added or removed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "table", "flipped"]))
+    if kind == "random":
+        m = draw(st.integers(1, 8))
+        return rng.random((m, m, m)) < draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    if kind == "table":
+        return _graph_of(draw(tables()))
+    graph = _graph_of(_monoid_table(draw, rng))
+    m = graph.shape[0]
+    for _ in range(draw(st.integers(1, 3))):
+        x, y, z = (int(v) for v in rng.integers(0, m, size=3))
+        graph[x, y, z] = not graph[x, y, z]
+    return graph
+
+
+@SETTINGS
+@given(tables())
+def test_function_tables_certify_as_before(table):
+    s = catalog.from_add_table(table)
+    _assert_same(fc.verify_semigroup(s, install=False), _former_certificate(_graph_of(table)))
+
+
+@SETTINGS
+@given(relations())
+def test_relations_certify_as_before(graph):
+    s = _relation_structure(graph)
+    _assert_same(fc.verify_semigroup(s, install=False), _former_certificate(graph))
+
+
+def _peak_bytes_per_cell(s: FiniteStructure) -> float:
+    tracemalloc.start()
+    try:
+        fc.verify_semigroup(s, install=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / s.size**3
+
+
+def test_functional_certification_peak_is_a_few_bytes_per_cell():
+    table_model = catalog.cyclic_group(128)
+    relation_model = catalog.relation_model(certified(catalog.cyclic_group(128)))
+    assert _peak_bytes_per_cell(table_model) <= 4
+    assert _peak_bytes_per_cell(relation_model) <= 4
+
+
+def test_relational_certification_peak_is_bounded_per_cell():
+    m = 64
+    graph = _graph_of(fc.verify_semigroup(catalog.cyclic_group(m)).add_table)
+    graph[1, 2, 0] = True  # one stray tuple: sums are no longer unique
+    s = _relation_structure(graph)
+    cert = fc.verify_semigroup(s, install=False)
+    assert not cert.axiom("unique_sum").holds and not cert.axiom("associativity").holds
+    assert _peak_bytes_per_cell(s) <= 16

@@ -232,6 +232,43 @@ def _assert_input_error(proc):
     assert "Traceback" not in proc.stderr
 
 
+def _c2_with(**changes):
+    doc = json.loads(json.dumps(C2_MODEL))
+    doc.update(changes)
+    return doc
+
+
+def _add_with(**changes):
+    return _c2_with(functions={"add": {"arity": 2, "table": [[0, 1], [1, 0]], **changes}})
+
+
+def _leq_with(tuples):
+    return {**J2_MODEL, "relations": {"leq": {"arity": 2, "tuples": tuples}}}
+
+
+MALFORMED_MODELS = {
+    "null-entry": _add_with(table=[[0, None], [1, 0]]),
+    "fractional-entry": _add_with(table=[[0, 1.7], [1, 0]]),
+    "boolean-entry": _add_with(table=[[0, True], [1, 0]]),
+    "ragged-table": _add_with(table=[[0, 1], [1]]),
+    "text-arity": _add_with(arity="two"),
+    "function-list": _c2_with(functions=["add"]),
+    "constant-list": _c2_with(constants=["zero"]),
+    "tuples-number": _leq_with(5),
+    "tuple-number": _leq_with([[0, 0], 1]),
+    "semigroup-text": _c2_with(semigroup="add"),
+    "semigroup-function-list": _c2_with(semigroup={"function": ["add"]}),
+    "universe-boolean": _c2_with(universe=True, functions={"add": {"arity": 2, "table": [[0]]}}, constants={}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_malformed_model_is_input_error(tmp_path, name):
+    model = tmp_path / f"{name}.json"
+    model.write_text(json.dumps(MALFORMED_MODELS[name]))
+    _assert_input_error(run_cli("verify", str(model)))
+
+
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):
     csv = tmp_path / "path.csv"
     run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "8", "-o", str(csv))

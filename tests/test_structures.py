@@ -271,6 +271,13 @@ def test_model_validation_rejects_bad_tables():
         FiniteStructure(2, element_names={"a": 0, "b": 0})
 
 
+def test_chain_semilattice_fingerprint_is_stable():
+    # path CSV headers and generator JSON print the fingerprint
+    s = catalog.chain_semilattice(5)
+    assert set(s.relations) == {"leq"}
+    assert s.fingerprint == "ee2ef47c1885ffae41a95dee5af240afe30df2f9"
+
+
 def test_random_zoo_always_certifies():
     rng = np.random.default_rng(12)
     for _ in range(60):
