@@ -14,7 +14,7 @@ from .structures import (
     FiniteStructure,
     FunctionSymbol,
     RelationSymbol,
-    certified_table,
+    certificate_of,
 )
 
 
@@ -75,7 +75,7 @@ def chain_poset(m: int) -> FiniteStructure:
 
 def relation_model(s: FiniteStructure, name: str = "theta") -> FiniteStructure:
     """Re-present a certified structure with its sum as a ternary relation."""
-    table = certified_table(s)
+    table = certificate_of(s).add_table
     m = s.size
     graph = np.zeros((m, m, m), dtype=bool)
     x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -91,7 +91,7 @@ def relation_model(s: FiniteStructure, name: str = "theta") -> FiniteStructure:
 
 def product_of(a: FiniteStructure, b: FiniteStructure) -> FiniteStructure:
     """Componentwise semigroup on pairs, with index i*|b| + j."""
-    ta, tb = certified_table(a), certified_table(b)
+    ta, tb = certificate_of(a).add_table, certificate_of(b).add_table
     ma, mb = a.size, b.size
     ia = np.arange(ma * mb) // mb
     ib = np.arange(ma * mb) % mb
@@ -101,7 +101,7 @@ def product_of(a: FiniteStructure, b: FiniteStructure) -> FiniteStructure:
 
 def relabeled(s: FiniteStructure, perm) -> FiniteStructure:
     """Conjugate a certified semigroup by a permutation of the universe."""
-    table = certified_table(s)
+    table = certificate_of(s).add_table
     p = np.asarray(perm, dtype=np.int64)
     inv = np.empty_like(p)
     inv[p] = np.arange(p.size)

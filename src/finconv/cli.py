@@ -36,7 +36,7 @@ from .levy import (
     make_timeline,
     validate_levy,
 )
-from .measures import conv_exp, conv_power, convolve, measure_of_event
+from .measures import EXP_METHODS, conv_exp, conv_power, convolve, measure_of_event
 from .structures import definable_set, verify_semigroup
 
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--r", type=float, required=True, help="rate")
     p.add_argument("--tol", type=float, default=1e-9, help="total-variation tolerance")
-    p.add_argument("--method", choices=("series", "squaring"), default="series", help="evaluation scheme")
+    p.add_argument("--method", choices=EXP_METHODS, default="series", help="evaluation scheme")
 
     p = add("root", cmd_root, "search for an n-th convolution root")
     p.add_argument("measure", help="target measure JSON file")

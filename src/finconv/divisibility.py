@@ -36,7 +36,7 @@ from .measures import (
     tv_distance,
     uniform,
 )
-from .structures import certified_table, certified_zero, same_structure
+from .structures import SemigroupCertificate, certificate_of, same_structure
 
 VERDICT_EXACT = "exact_within_tol"
 VERDICT_LOCAL = "local_minimum_only"
@@ -132,17 +132,14 @@ def power_gradient(nu: Measure, n: int, target: Measure) -> np.ndarray:
         raise MeasureError("gradient needs n >= 1; the 0-th power is constant")
     if not same_structure(nu.structure, target.structure):
         raise StructureMismatchError("measures live on different structures")
-    table = certified_table(nu.structure)
-    zero = certified_zero(nu.structure)
-    return _power_gradient_raw(table, nu.size, zero, nu.weights, n, target.weights)
+    return _power_gradient_raw(certificate_of(nu.structure), nu.weights, n, target.weights)
 
 
-def _power_gradient_raw(table, m, zero, w, n, target_w):
+def _power_gradient_raw(cert: SemigroupCertificate, w, n, target_w):
     """power_gradient on raw weights, shared with the descent objective."""
-    flat = table.ravel()
-    prev = _powers_raw(flat, m, zero, w, [n - 1])[0]
-    full = _convolve_raw(flat, m, prev, w)
-    return n * _correlate_raw(table, prev, full - target_w)
+    prev = _powers_raw(cert, w, [n - 1])[0]
+    full = _convolve_raw(cert, prev, w)
+    return n * _correlate_raw(cert, prev, full - target_w)
 
 
 def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
@@ -204,15 +201,13 @@ def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
     return best_tv, best_w
 
 
-def _power_objective(table: np.ndarray, m: int, zero: int, target_w: np.ndarray, n: int):
-    flat = table.ravel()
-
+def _power_objective(cert: SemigroupCertificate, target_w: np.ndarray, n: int):
     def j_eval(w):
-        d = _powers_raw(flat, m, zero, w, [n])[0] - target_w
+        d = _powers_raw(cert, w, [n])[0] - target_w
         return 0.5 * float(np.dot(d, d)), 0.5 * math.fsum(np.abs(d).tolist())
 
     def g_eval(w):
-        return _power_gradient_raw(table, m, zero, w, n, target_w)
+        return _power_gradient_raw(cert, w, n, target_w)
 
     return j_eval, g_eval
 
@@ -231,16 +226,16 @@ def _grid_candidates(m, lo, hi, res):
     return np.maximum(pts, 0.0)
 
 
-def _grid_minimum_residual(table, m, zero, target_w, n, cfg: SolverConfig) -> float:
+def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n, cfg: SolverConfig) -> float:
     """Smallest residual over an exhaustive simplex grid, refined 3 rounds.
 
     This is grid-evaluated evidence: the reported value is the attained
     minimum over all scanned points, tightened by shrinking windows around
     the incumbent.
     """
+    m = target_w.shape[0]
     if m == 1:
         return float(abs(1.0 - target_w[0]))  # the unique measure is its own power
-    flat = table.ravel()
     res = cfg.grid_resolution
     lo = np.zeros(m - 1)
     hi = np.ones(m - 1)
@@ -249,7 +244,7 @@ def _grid_minimum_residual(table, m, zero, target_w, n, cfg: SolverConfig) -> fl
     half = None
     for _ in range(4):
         pts = _grid_candidates(m, lo, hi, res)
-        result = _powers_raw(flat, m, zero, pts, [n])[0]
+        result = _powers_raw(cert, pts, [n])[0]
         vals = 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
@@ -265,7 +260,7 @@ def _grid_minimum_residual(table, m, zero, target_w, n, cfg: SolverConfig) -> fl
 
 # --- root search ------------------------------------------------------------
 
-def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None, threads: int = 1) -> RootCertificate:
+def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCertificate:
     """Search the simplex for an n-th convolution root of the target.
 
     Runs cfg.restarts descents: from the target itself, the point mass at
@@ -273,20 +268,19 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None, threads: 
     draws. The winner is the lexicographic minimum of (residual, restart
     index), so results are deterministic for a fixed seed. For universes of
     size <= 3 an exhaustive grid scan supplies residual evidence backing an
-    infeasibility verdict. threads is accepted and ignored.
+    infeasibility verdict.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
         raise MeasureError("root order must be at least 1")
     s = target.structure
-    table = certified_table(s)
-    zero = certified_zero(s)
+    cert = certificate_of(s)
     m = target.size
-    j_eval, g_eval = _power_objective(table, m, zero, target.weights, n)
+    j_eval, g_eval = _power_objective(cert, target.weights, n)
 
     rng = np.random.default_rng(cfg.seed)
     flat_start = uniform(s).weights.copy()
-    inits = [target.weights.copy(), dirac(s, zero).weights.copy(), flat_start.copy()]
+    inits = [target.weights.copy(), dirac(s, cert.zero).weights.copy(), flat_start.copy()]
     # anchored starts: the gradient through a high power is blind to mass at
     # low chain elements until it dominates, so seed one basin per element
     for a in range(m):
@@ -315,7 +309,7 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None, threads: 
 
     lower = None
     if m <= GRID_ORACLE_MAX_SIZE:
-        lower = min(_grid_minimum_residual(table, m, zero, target.weights, n, cfg), residual)
+        lower = min(_grid_minimum_residual(cert, target.weights, n, cfg), residual)
 
     if residual <= cfg.tol_residual:
         verdict = VERDICT_EXACT
@@ -341,7 +335,7 @@ def semilattice_root_oracle(target: Measure, n: int) -> Measure:
     root's cumulative is the real n-th root."""
     if n < 1:
         raise MeasureError("root order must be at least 1")
-    table = certified_table(target.structure)
+    table = certificate_of(target.structure).add_table
     m = target.size
     i = np.arange(m)
     idempotent = (table[i, i] == i).all()
@@ -360,11 +354,8 @@ def semilattice_root_oracle(target: Measure, n: int) -> Measure:
     return _from_raw(target.structure, w)
 
 
-def is_infinitely_divisible(
-    target: Measure, n_max: int, cfg: SolverConfig | None = None, threads: int = 1
-) -> DivisibilityReport:
-    """Certify n-th roots for every n up to n_max; honest three-way verdicts.
-    threads is accepted and ignored."""
+def is_infinitely_divisible(target: Measure, n_max: int, cfg: SolverConfig | None = None) -> DivisibilityReport:
+    """Certify n-th roots for every n up to n_max; honest three-way verdicts."""
     cfg = cfg or SolverConfig()
     if n_max < 2:
         raise MeasureError("n_max must be at least 2")
@@ -387,7 +378,7 @@ def lambda_for(mu: Measure, r: float, K: int) -> Measure:
         raise MeasureError("K must be a positive integer")
     if not (math.isfinite(r) and r >= 0):
         raise MeasureError(f"rate must be finite and non-negative, got {r}")
-    zero = certified_zero(mu.structure)
+    zero = certificate_of(mu.structure).zero
     q = r / K
     return mix([1.0 / (1.0 + q), q / (1.0 + q)], [dirac(mu.structure, zero), mu])
 
@@ -411,7 +402,7 @@ def extract_jump(lam: Measure, r: float, K: int) -> Measure:
         raise MeasureError(f"rate must be positive, got {r}")
     if K < 1:
         raise MeasureError("K must be a positive integer")
-    zero = certified_zero(lam.structure)
+    zero = certificate_of(lam.structure).zero
     q = r / K
     required = 1.0 / (1.0 + q)
     deficit = required - float(lam.weights[zero])
@@ -433,7 +424,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
     scalar = ConditionCheck("exp_ratio_near_one", abs(ratio - 1.0), float(eps), abs(ratio - 1.0) <= eps)
     event_err = tv_distance(mu, conv_power(lam, K))
     events = ConditionCheck("event_error_within_inverse_K", event_err, 1.0 / K, event_err <= 1.0 / K)
-    zero = certified_zero(lam.structure)
+    zero = certificate_of(lam.structure).zero
     required = 1.0 / (1.0 + r / K)
     mass = float(lam.weights[zero])
     mass_ok = ConditionCheck("mass_at_zero", mass, required, mass >= required - 1e-12)
@@ -445,8 +436,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
 
 # --- exponential fitting -----------------------------------------------------
 
-def _exp_objective(table, m, zero, target_w, r, tol_exp):
-    flat = table.ravel()
+def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
     cache: dict = {}
 
     def exp_of(w):
@@ -454,10 +444,10 @@ def _exp_objective(table, m, zero, target_w, r, tol_exp):
         if cache.get("key") == key:
             return cache["val"]
         if r == 0.0:
-            e = np.zeros(m)
-            e[zero] = 1.0
+            e = np.zeros(w.shape[0])
+            e[cert.zero] = 1.0
         else:
-            raw = _series_raw(flat, m, zero, w, [r], tol_exp)[0]
+            raw = _series_raw(cert, w, [r], tol_exp)[0]
             e = raw / math.fsum(raw.tolist())
         cache["key"] = key
         cache["val"] = e
@@ -469,7 +459,7 @@ def _exp_objective(table, m, zero, target_w, r, tol_exp):
 
     def g_eval(w):
         e = exp_of(w)
-        return r * _correlate_raw(table, e, e - target_w)
+        return r * _correlate_raw(cert, e, e - target_w)
 
     return j_eval, g_eval
 
@@ -495,15 +485,14 @@ def fit_levy_khintchine(
     if not r_max > 0:
         raise MeasureError("r_max must be positive")
     s = target.structure
-    table = certified_table(s)
-    zero = certified_zero(s)
+    cert = certificate_of(s)
     m = target.size
     tol_exp = cfg.tol_residual / 10.0
     rng = np.random.default_rng(cfg.seed)
     uni = uniform(s).weights.copy()
 
     def solve_at(r, inits, iters):
-        j_eval, g_eval = _exp_objective(table, m, zero, target.weights, r, tol_exp)
+        j_eval, g_eval = _exp_objective(cert, target.weights, r, tol_exp)
         best = None
         for start in inits:
             tv, w = _exp_grad_minimize(j_eval, g_eval, start, iters, cfg.tol_residual)
@@ -544,6 +533,6 @@ def fit_levy_khintchine(
 
     jump = _from_raw(s, best_w)
     residual = tv_distance(conv_exp(jump, best_r, tol_exp), target) if best_r > 0 else tv_distance(
-        dirac(s, zero), target
+        dirac(s, cert.zero), target
     )
     return LevyKhintchineFit(rate=best_r, jump=jump, residual=residual)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import StructureMismatchError, TimelineError
 from .measures import SUM_TOL, Measure, conv_exps, conv_powers, convolve, dirac, tv_distance
-from .structures import certified_zero, same_structure
+from .structures import certificate_of, same_structure
 
 TICK_MATCH_TOL = 1e-12  # absolute slack when matching real-valued ticks
 
@@ -126,24 +126,22 @@ class LevyValidationReport:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevyPath:
     timeline: Timeline
     marginals: tuple[Measure, ...]
     generator: dict
-    validation: LevyValidationReport | None = field(default=None)
 
     @property
     def structure(self):
         return self.marginals[0].structure
 
 
-def levy_from_root(nu: Measure, n_steps: int, threads: int = 1) -> LevyPath:
+def levy_from_root(nu: Measure, n_steps: int) -> LevyPath:
     """Path on the uniform grid with the k-th power of nu at tick k/N.
 
     Every marginal is computed by binary exponentiation over one shared
-    set of squares, and is bit-identical to conv_power(nu, k). threads is
-    accepted and ignored.
+    set of squares, and is bit-identical to conv_power(nu, k).
     """
     if n_steps < 1:
         raise TimelineError("grid needs N >= 1")
@@ -158,13 +156,10 @@ def levy_from_root(nu: Measure, n_steps: int, threads: int = 1) -> LevyPath:
     return LevyPath(timeline, tuple(marginals), generator)
 
 
-def levy_from_exponential(
-    nu: Measure, r: float, timeline: Timeline, tol: float, threads: int = 1
-) -> LevyPath:
+def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float) -> LevyPath:
     """Path with the exponential at rate t*r at tick t; exact point mass at t=0.
 
-    Each marginal is bit-identical to conv_exp(nu, t*r, tol). threads is
-    accepted and ignored.
+    Each marginal is bit-identical to conv_exp(nu, t*r, tol).
     """
     marginals = conv_exps(nu, [float(t) * float(r) for t in timeline.ticks], tol)
     generator = {
@@ -203,7 +198,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """
     ticks = path.timeline.ticks
     marg = path.marginals
-    zero = certified_zero(path.structure)
+    zero = certificate_of(path.structure).zero
     start_error = tv_distance(marg[0], dirac(path.structure, zero))
 
     worst_inc, inc_at, inc_checked = 0.0, None, 0
@@ -228,7 +223,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
             if v > worst_div:
                 worst_div, div_at = v, (float(ticks[j]), n)
 
-    report = LevyValidationReport(
+    return LevyValidationReport(
         tol=float(tol),
         start_error=start_error,
         worst_increment=worst_inc,
@@ -238,8 +233,6 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
         division_at=div_at,
         divisions_checked=div_checked,
     )
-    path.validation = report
-    return report
 
 
 def restrict_path(path: LevyPath, timeline: Timeline) -> LevyPath:

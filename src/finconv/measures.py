@@ -6,6 +6,11 @@ certified semigroup sum: (mu * nu)(z) = sum over x + y = z of mu(x) nu(y).
 From it come powers, the Poisson-weighted exponential series, and total
 variation as the metric on the simplex.
 
+Each public operation fetches the structure's certificate once, through
+structures.certificate_of, and the private kernels below take that frozen
+certificate: the addition table, its size and the neutral element all
+come from it.
+
 Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C
@@ -37,11 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureError, StructureMismatchError
-from .structures import FiniteStructure, certified_table, certified_zero, same_structure
+from .structures import FiniteStructure, SemigroupCertificate, certificate_of, same_structure
 
 SUM_TOL = 1e-9  # accepted deviation of input weights from total mass 1
 _CLAMP = 1e-9  # most negative weight an internal result may carry before renormalizing
 _SERIES_MAX_RATE = 700  # above it exp(-r) underflows; conv_exp switches to squaring
+EXP_METHODS = ("series", "squaring")
 
 
 @dataclass(frozen=True)
@@ -145,17 +151,19 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 
 # --- raw kernels (shared with the solver) --------------------------------
 
-def _convolve_raw(flat_table: np.ndarray, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b for one vector (m,) or row by row for a stack (B, m)."""
+    flat = cert.add_table.ravel()
+    m = a.shape[-1]
     if a.ndim == 1:
-        return np.bincount(flat_table, weights=np.multiply.outer(a, b).ravel(), minlength=m)
+        return np.bincount(flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)
     rows = a.shape[0]
-    idx = (np.arange(rows) * m)[:, None] + flat_table[None, :]
+    idx = (np.arange(rows) * m)[:, None] + flat[None, :]
     outer = a[:, :, None] * b[:, None, :]
     return np.bincount(idx.ravel(), weights=outer.ravel(), minlength=rows * m).reshape(rows, m)
 
 
-def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) -> list[np.ndarray]:
+def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarray]:
     """a^(n*) for each n by binary exponentiation over one set of squares.
 
     The squares a^(2^j) are built as far as the largest exponent needs.
@@ -170,7 +178,7 @@ def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) ->
     for n in ns:
         if n == 0:
             unit = np.zeros_like(a)
-            unit[..., zero] = 1.0
+            unit[..., cert.zero] = 1.0
             out.append(unit)
             continue
         result = None
@@ -183,20 +191,20 @@ def _powers_raw(flat_table: np.ndarray, m: int, zero: int, a: np.ndarray, ns) ->
                 else:
                     low = n & (2 * bit - 1)
                     if low not in partial:
-                        partial[low] = _convolve_raw(flat_table, m, result, squares[j])
+                        partial[low] = _convolve_raw(cert, result, squares[j])
                     result = partial[low]
             if n >> (j + 1) == 0:
                 break
             j += 1
             if j == len(squares):
-                squares.append(_convolve_raw(flat_table, m, squares[-1], squares[-1]))
+                squares.append(_convolve_raw(cert, squares[-1], squares[-1]))
         out.append(result)
     return out
 
 
-def _correlate_raw(table: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     # out[y] = sum_x c[x] * g[table[x, y]]
-    return (c[:, None] * g[table]).sum(axis=0)
+    return (c[:, None] * g[cert.add_table]).sum(axis=0)
 
 
 def _tv_raw(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,14 +216,13 @@ def _tv_raw(a: np.ndarray, b: np.ndarray) -> float:
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Law of the sum of independent draws from mu and nu."""
     _check_pair(mu, nu)
-    table = certified_table(mu.structure)
-    out = _convolve_raw(table.ravel(), mu.size, mu.weights, nu.weights)
+    out = _convolve_raw(certificate_of(mu.structure), mu.weights, nu.weights)
     return _from_raw(mu.structure, out)
 
 
 def translate(mu: Measure, a: int) -> Measure:
     """Convolution with the point mass at a, via a single table column."""
-    table = certified_table(mu.structure)
+    table = certificate_of(mu.structure).add_table
     a = int(a)
     if not 0 <= a < mu.size:
         raise MeasureError(f"element index {a} outside universe of size {mu.size}")
@@ -233,11 +240,10 @@ def conv_powers(mu: Measure, ns) -> list[Measure]:
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise MeasureError("convolution power requires n >= 0")
-    table = certified_table(mu.structure)
-    zero = certified_zero(mu.structure)
+    cert = certificate_of(mu.structure)
     todo = sorted({n for n in ns if n > 1})
-    powers = {0: dirac(mu.structure, zero), 1: mu}
-    for n, w in zip(todo, _powers_raw(table.ravel(), mu.size, zero, mu.weights, todo)):
+    powers = {0: dirac(mu.structure, cert.zero), 1: mu}
+    for n, w in zip(todo, _powers_raw(cert, mu.weights, todo)):
         powers[n] = _from_raw(mu.structure, w)
     return [powers[n] for n in ns]
 
@@ -262,7 +268,7 @@ def _poisson_terms(r: float, tol: float) -> list[float]:
         terms.append(p)
 
 
-def _series_raw(flat_table, m, zero, w, rates, tol) -> np.ndarray:
+def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> np.ndarray:
     """Poisson-weighted power series for each rate, one row per rate.
 
     One chain power <- power * w serves every row. Row i adds p_n(r_i) *
@@ -275,16 +281,17 @@ def _series_raw(flat_table, m, zero, w, rates, tol) -> np.ndarray:
     coeffs = np.zeros((len(terms), length))
     for row, i in enumerate(order):
         coeffs[row, : len(terms[i])] = terms[i]
+    m = w.shape[0]
     acc = np.zeros((len(terms), m))
     comp = np.zeros((len(terms), m))
     power = np.zeros(m)
-    power[zero] = 1.0
+    power[cert.zero] = 1.0
     live = len(terms)
     for n in range(length):
         while len(terms[order[live - 1]]) <= n:
             live -= 1
         if n:
-            power = _convolve_raw(flat_table, m, power, w)
+            power = _convolve_raw(cert, power, w)
         term = coeffs[:live, n, None] * power - comp[:live]
         t = acc[:live] + term
         comp[:live] = (t - acc[:live]) - term
@@ -294,23 +301,13 @@ def _series_raw(flat_table, m, zero, w, rates, tol) -> np.ndarray:
     return out
 
 
-def _checked_exp_args(rates, tol) -> list[float]:
-    rates = [float(r) for r in rates]
-    for r in rates:
-        if not math.isfinite(r) or r < 0:
-            raise MeasureError(f"rate must be finite and non-negative, got {r}")
-    if not tol > 0:
-        raise MeasureError(f"tolerance must be positive, got {tol}")
-    return rates
-
-
-def _squaring_raw(flat_table, m, zero, w, r, tol) -> np.ndarray:
+def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
     halvings = max(0, math.ceil(math.log2(r / 0.25))) if r > 0.25 else 0
     inner_tol = tol / (2.0 ** (halvings + 1))
-    acc = _series_raw(flat_table, m, zero, w, [r / 2.0**halvings], inner_tol)[0]
+    acc = _series_raw(cert, w, [r / 2.0**halvings], inner_tol)[0]
     acc = acc / math.fsum(acc.tolist())
     for _ in range(halvings):
-        acc = _convolve_raw(flat_table, m, acc, acc)
+        acc = _convolve_raw(cert, acc, acc)
     return acc
 
 
@@ -323,38 +320,36 @@ def conv_exp(mu: Measure, r: float, tol: float, method: str = "series") -> Measu
     each squaring doubles the inherited error, so the inner tolerance is
     scaled down accordingly.
     """
-    if method == "series":
-        return conv_exps(mu, [r], tol)[0]
-    (r,) = _checked_exp_args([r], tol)
-    table = certified_table(mu.structure)
-    zero = certified_zero(mu.structure)
-    if r == 0.0:
-        return dirac(mu.structure, zero)
-    if method != "squaring":
-        raise MeasureError(f"unknown conv_exp method {method!r}")
-    return _from_raw(mu.structure, _squaring_raw(table.ravel(), mu.size, zero, mu.weights, r, tol))
+    return conv_exps(mu, [r], tol, method)[0]
 
 
-def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
-    """conv_exp(mu, r, tol) for each rate in order, from one shared series.
+def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Measure]:
+    """conv_exp(mu, r, tol, method) for each rate in order, from one shared series.
 
-    Rate 0 is the point mass at 0; a rate above 700 runs the squaring
-    scheme on its own, as conv_exp does.
+    Rate 0 is the point mass at 0. The series serves every positive rate
+    up to 700; a larger rate, or any positive rate under method="squaring",
+    runs the squaring scheme on its own.
     """
-    rates = _checked_exp_args(rates, tol)
-    table = certified_table(mu.structure)
-    zero = certified_zero(mu.structure)
-    flat = table.ravel()
-    series = [i for i, r in enumerate(rates) if 0.0 < r <= _SERIES_MAX_RATE]
-    rows = _series_raw(flat, mu.size, zero, mu.weights, [rates[i] for i in series], tol)
+    if method not in EXP_METHODS:
+        raise MeasureError(f"unknown conv_exp method {method!r}")
+    rates = [float(r) for r in rates]
+    for r in rates:
+        if not math.isfinite(r) or r < 0:
+            raise MeasureError(f"rate must be finite and non-negative, got {r}")
+    if not tol > 0:
+        raise MeasureError(f"tolerance must be positive, got {tol}")
+    cert = certificate_of(mu.structure)
+    series_max = _SERIES_MAX_RATE if method == "series" else 0.0
+    series = [i for i, r in enumerate(rates) if 0.0 < r <= series_max]
+    rows = _series_raw(cert, mu.weights, [rates[i] for i in series], tol)
     out: list = [None] * len(rates)
     for i, row in zip(series, rows):
         out[i] = _from_raw(mu.structure, row)
     for i, r in enumerate(rates):
         if r == 0.0:
-            out[i] = dirac(mu.structure, zero)
-        elif r > _SERIES_MAX_RATE:
-            out[i] = _from_raw(mu.structure, _squaring_raw(flat, mu.size, zero, mu.weights, r, tol))
+            out[i] = dirac(mu.structure, cert.zero)
+        elif r > series_max:
+            out[i] = _from_raw(mu.structure, _squaring_raw(cert, mu.weights, r, tol))
     return out
 
 

@@ -11,9 +11,12 @@ formula with q nested quantifier/grid axes costs m**q and is rejected
 beyond the evaluation budget.
 
 Semigroup certification holds the m**3 boolean graph of the sum (1 byte
-per cell) and checks associativity one x-slice at a time: O(m**2) scratch
-per slice when sums are unique, and m**3 float32 counts per slice, O(m**5)
-time in all, when they are not.
+per cell) and checks commutativity and associativity one x-slice at a
+time: O(m**2) scratch per slice when sums are unique, and m**3 float32
+counts per slice, O(m**5) time in all, when they are not. A passing
+certificate is installed on the structure, and every operation of the
+convolution algebra reaches the monoid through `certificate_of`, the one
+guard against an uncertified structure.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class RelationSymbol:
 
     @classmethod
     def from_tuples(cls, arity: int, tuples, size: int) -> "RelationSymbol":
+        if size**arity > EVAL_BUDGET:
+            raise ModelError(
+                f"relation table of m**{arity} = {size}**{arity} cells exceeds budget {EVAL_BUDGET}"
+            )
         table = np.zeros((size,) * arity, dtype=bool)
         for tup in tuples:
             if len(tup) != arity:
@@ -255,7 +262,10 @@ def evaluate_region(
         if name not in bind:
             bind[name] = ("value", s.element_index(value))
     out = _eval_node(f, s, bind, len(grid_vars))
-    return np.array(np.broadcast_to(out, (s.size,) * len(grid_vars)), dtype=bool)
+    shape = (s.size,) * len(grid_vars)
+    if isinstance(out, np.ndarray) and out.shape == shape and out.dtype == bool:
+        return out  # every node builds a fresh array, so no copy is needed
+    return np.array(np.broadcast_to(out, shape), dtype=bool)
 
 
 def eval_formula(s: FiniteStructure, f: fm.Formula, env: dict[str, int] | None = None) -> bool:
@@ -330,20 +340,20 @@ def semigroup_formula(s: FiniteStructure) -> fm.Formula:
     return fm.parse_formula(f"{fn}(x, y) = z", s)
 
 
-def verify_semigroup(
-    s: FiniteStructure, theta: fm.Formula | None = None, install: bool = True
-) -> SemigroupCertificate:
+def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> SemigroupCertificate:
     """Exhaustively check that theta(x, y, z) defines a commutative monoid.
 
     Checks, in order: every pair has a unique sum; the sum is commutative;
     the sum is associative; a neutral element exists (necessarily unique
     given the previous axioms, which is verified rather than assumed). On
-    success the addition table and neutral index are extracted. Axiom
-    failures are reported in the certificate, not raised.
+    success the addition table and neutral index are extracted and the
+    certificate is installed on s. Axiom failures are reported in the
+    certificate, not raised, and leave s uncertified.
 
-    Cost: the graph of theta is an m**3 boolean array (1 byte per cell;
-    building it takes one more transiently, as does the commutativity
-    check). Associativity is checked one x-slice at a time, in scan order,
+    Cost: the graph of theta is an m**3 boolean array, 1 byte per cell
+    and the peak of the whole check when sums are unique.
+    Commutativity is checked one x-slice at a time with O(m**2) scratch.
+    Associativity is checked one x-slice at a time, in scan order,
     stopping at the first slice that fails. When sums are unique that takes
     O(m**2) scratch per slice and O(m**3) time in all; otherwise each slice
     multiplies 0/1 matrices into m**3 float32 counts, on top of a float32
@@ -363,10 +373,15 @@ def verify_semigroup(
     holds1 = cex1 is None
     add = np.argmax(graph, axis=2).astype(np.int64) if holds1 else None
 
-    cex2 = _first_true(graph != graph.transpose(1, 0, 2))
+    # the first failing x-slice holds the lexicographically first counterexample
+    cex2 = None
+    for x in range(m):
+        yz = _first_true(graph[x] != graph[:, x])  # theta(x,y,z) vs theta(y,x,z)
+        if yz is not None:
+            cex2 = (x, *yz)
+            break
     holds2 = cex2 is None
 
-    # the first failing x-slice holds the lexicographically first counterexample
     cex3 = None
     if holds1:
         for x in range(m):
@@ -407,25 +422,17 @@ def verify_semigroup(
             AxiomCheck(AXIOM_NAMES[3], holds4, None),
         ),
     )
-    if install and cert.passed:
+    if cert.passed:
         s.certificate = cert
     return cert
 
 
-def certified_table(s: FiniteStructure) -> np.ndarray:
-    """The verified addition table; raises if the structure is uncertified."""
+def certificate_of(s: FiniteStructure) -> SemigroupCertificate:
+    """The passing certificate installed on s, whose add_table and zero are
+    both set; raises NotCertifiedError if there is none."""
     cert = s.certificate
-    if cert is None or not cert.passed or cert.add_table is None:
+    if cert is None or not cert.passed:
         raise NotCertifiedError(
             "structure has no passing semigroup certificate; run verify_semigroup first"
         )
-    return cert.add_table
-
-
-def certified_zero(s: FiniteStructure) -> int:
-    cert = s.certificate
-    if cert is None or not cert.passed or cert.zero is None:
-        raise NotCertifiedError(
-            "structure has no passing semigroup certificate; run verify_semigroup first"
-        )
-    return cert.zero
+    return cert

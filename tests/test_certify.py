@@ -1,10 +1,10 @@
 """Slice-wise semigroup certification against the former whole-cube code.
 
-verify_semigroup checks associativity one x-slice at a time and stops at
-the first failing slice. Its certificates must equal those of the former
-code, kept below as the reference, on random function tables and random
-ternary relations; and its peak allocation must stay a few bytes per cell
-of the m**3 graph.
+verify_semigroup checks commutativity and associativity one x-slice at a
+time and stops at the first failing slice. Its certificates must equal
+those of the former code, kept below as the reference, on random function
+tables and random ternary relations; and its peak allocation must stay a
+few bytes per cell of the m**3 graph.
 """
 
 import tracemalloc
@@ -164,20 +164,20 @@ def relations(draw):
 @given(tables())
 def test_function_tables_certify_as_before(table):
     s = catalog.from_add_table(table)
-    _assert_same(fc.verify_semigroup(s, install=False), _former_certificate(_graph_of(table)))
+    _assert_same(fc.verify_semigroup(s), _former_certificate(_graph_of(table)))
 
 
 @SETTINGS
 @given(relations())
 def test_relations_certify_as_before(graph):
     s = _relation_structure(graph)
-    _assert_same(fc.verify_semigroup(s, install=False), _former_certificate(graph))
+    _assert_same(fc.verify_semigroup(s), _former_certificate(graph))
 
 
 def _peak_bytes_per_cell(s: FiniteStructure) -> float:
     tracemalloc.start()
     try:
-        fc.verify_semigroup(s, install=False)
+        fc.verify_semigroup(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,11 +191,19 @@ def test_functional_certification_peak_is_a_few_bytes_per_cell():
     assert _peak_bytes_per_cell(relation_model) <= 4
 
 
+def test_functional_certification_peak_is_the_graph_plus_slices():
+    # the m**3 boolean graph (1 byte per cell) plus O(m**2) per-slice scratch
+    table_model = catalog.cyclic_group(128)
+    relation_model = catalog.relation_model(certified(catalog.cyclic_group(128)))
+    assert _peak_bytes_per_cell(table_model) <= 1.5
+    assert _peak_bytes_per_cell(relation_model) <= 1.5
+
+
 def test_relational_certification_peak_is_bounded_per_cell():
     m = 64
     graph = _graph_of(fc.verify_semigroup(catalog.cyclic_group(m)).add_table)
     graph[1, 2, 0] = True  # one stray tuple: sums are no longer unique
     s = _relation_structure(graph)
-    cert = fc.verify_semigroup(s, install=False)
+    cert = fc.verify_semigroup(s)
     assert not cert.axiom("unique_sum").holds and not cert.axiom("associativity").holds
     assert _peak_bytes_per_cell(s) <= 16

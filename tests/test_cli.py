@@ -259,6 +259,8 @@ MALFORMED_MODELS = {
     "semigroup-text": _c2_with(semigroup="add"),
     "semigroup-function-list": _c2_with(semigroup={"function": ["add"]}),
     "universe-boolean": _c2_with(universe=True, functions={"add": {"arity": 2, "table": [[0]]}}, constants={}),
+    # 1000**4 cells: the dense table must be refused before it is allocated
+    "relation-over-budget": {"universe": 1000, "relations": {"r": {"arity": 4, "tuples": []}}},
 }
 
 

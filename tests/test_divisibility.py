@@ -123,18 +123,6 @@ def test_root_non_uniqueness_reported(c2):
     assert any(abs(w1 - 1.0) <= 1e-6 for _, w1 in found)
 
 
-def test_root_deterministic_across_threads(j3):
-    rng = np.random.default_rng(51)
-    target = fc.conv_power(conditioned_chain_root(j3, rng, 0.4), 3)
-    cfg = fc.SolverConfig(seed=123)
-    one = fc.nth_root(target, 3, cfg, threads=1)
-    four = fc.nth_root(target, 3, cfg, threads=4)
-    assert one.best_root.weights.tobytes() == four.best_root.weights.tobytes()
-    assert one.residual == four.residual
-    assert one.verdict == four.verdict
-    assert len(one.all_roots_found) == len(four.all_roots_found)
-
-
 # --- semilattice oracle ------------------------------------------------------------
 
 def test_oracle_examples(j2, j3):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -90,7 +91,12 @@ def test_validate_root_path(z8):
     assert report.worst_increment <= 1e-12
     assert report.worst_division <= 1e-12
     assert report.increments_checked > 1000
-    assert path.validation is report
+
+
+def test_paths_are_frozen(c2):
+    path = fc.levy_from_root(fc.measure(c2, [0.9, 0.1]), 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.generator = {}
 
 
 def test_validate_exponential_path(z8):
@@ -205,11 +211,3 @@ def test_timeline_ticks_given_as_text():
         with pytest.raises(TimelineError):
             fc.make_timeline(kind, params)
 
-
-def test_threads_do_not_change_paths(z8):
-    rng = np.random.default_rng(65)
-    nu = random_measure(z8, rng)
-    one = fc.levy_from_root(nu, 32, threads=1)
-    four = fc.levy_from_root(nu, 32, threads=4)
-    for a, b in zip(one.marginals, four.marginals):
-        assert a.weights.tobytes() == b.weights.tobytes()

@@ -7,6 +7,7 @@ import pytest
 import finconv as fc
 from finconv import catalog
 from finconv.errors import MeasureError, NotCertifiedError, StructureMismatchError
+from finconv.structures import certificate_of
 from helpers import (
     certified,
     cyclic_exp_oracle,
@@ -110,6 +111,16 @@ def test_convolve_requires_certificate():
         fc.convolve(mu, mu)
 
 
+def test_only_passing_certificates_are_installed():
+    broken = catalog.from_add_table([[0, 0], [1, 1]])
+    assert not fc.verify_semigroup(broken).passed
+    with pytest.raises(NotCertifiedError):
+        certificate_of(broken)
+    s = catalog.cyclic_group(3)
+    cert = fc.verify_semigroup(s)
+    assert certificate_of(s) is cert
+
+
 def test_convolve_structure_mismatch(c2, j2):
     with pytest.raises(StructureMismatchError):
         fc.convolve(fc.dirac(c2, 0), fc.dirac(j2, 0))
@@ -196,6 +207,24 @@ def test_conv_exp_parameter_errors(c2):
         fc.conv_exp(d1, -0.5, 1e-9)
     with pytest.raises(MeasureError):
         fc.conv_exp(d1, 1.0, 0.0)
+
+
+def test_conv_exp_rejects_unknown_method_at_every_rate(c2):
+    d1 = fc.dirac(c2, 1)
+    for r in (0.0, 1.0, 900.0):
+        with pytest.raises(MeasureError, match="unknown conv_exp method"):
+            fc.conv_exp(d1, r, 1e-9, method="bogus")
+        with pytest.raises(MeasureError, match="unknown conv_exp method"):
+            fc.conv_exps(d1, [r], 1e-9, method="bogus")
+
+
+def test_conv_exps_squaring_matches_single_calls(z8):
+    mu = random_measure(z8, np.random.default_rng(15))
+    rates = [2.0, 0.0, 7.5, 900.0]
+    many = fc.conv_exps(mu, rates, 1e-10, method="squaring")
+    assert many[1].weights.tolist() == fc.dirac(z8, 0).weights.tolist()
+    for r, got in zip(rates, many):
+        assert got.weights.tobytes() == fc.conv_exp(mu, r, 1e-10, method="squaring").weights.tobytes()
 
 
 def test_conv_exp_truncation_meets_tolerance(z8):

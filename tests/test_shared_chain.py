@@ -21,7 +21,7 @@ from finconv import catalog
 from finconv.divisibility import SolverConfig, _grid_candidates, _grid_minimum_residual, _power_gradient_raw
 from finconv.errors import MeasureError
 from finconv.measures import _convolve_raw, _powers_raw
-from finconv.structures import certified_table, certified_zero
+from finconv.structures import certificate_of
 from helpers import certified
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -70,6 +70,12 @@ RATES = st.one_of(
 EXPONENTS = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 80), st.sampled_from([1023, 1024, 4099]))
 
 
+def _raw(s):
+    """The certificate's table, flattened, with its size and neutral element."""
+    cert = certificate_of(s)
+    return cert.add_table.ravel(), s.size, cert.zero
+
+
 def _convolve(flat, m, a, b):
     return np.bincount(flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)
 
@@ -77,9 +83,9 @@ def _convolve(flat, m, a, b):
 def one_rate_series(mu, r, tol):
     """The series loop for a single rate, one power per term, normalised as
     conv_exp normalises it."""
-    flat, m = certified_table(mu.structure).ravel(), mu.size
+    flat, m, zero = _raw(mu.structure)
     acc, comp, power = np.zeros(m), np.zeros(m), np.zeros(m)
-    power[certified_zero(mu.structure)] = 1.0
+    power[zero] = 1.0
     p, n = math.exp(-r), 0
     while True:
         term = p * power - comp
@@ -96,7 +102,7 @@ def one_rate_series(mu, r, tol):
 
 def one_exponent_power(mu, n):
     """Binary exponentiation for a single exponent, squares built as needed."""
-    flat, m = certified_table(mu.structure).ravel(), mu.size
+    flat, m, _ = _raw(mu.structure)
     result, base = None, mu.weights
     while True:
         if n & 1:
@@ -189,10 +195,6 @@ def stacks(draw, max_size=18):
     return s, rows
 
 
-def _raw(s):
-    return certified_table(s).ravel(), s.size, certified_zero(s)
-
-
 def old_batch_power_residuals(flat, m, zero, points, n, target_w):
     """The grid's former private power loop, kept as the reference."""
     count = points.shape[0]
@@ -255,12 +257,13 @@ def raw_power(flat, m, zero, w, n):
 @given(stacks(), st.data())
 def test_stacked_convolution_rows_keep_single_call_bits(stack, data):
     s, a = stack
+    cert = certificate_of(s)
     flat, m, _ = _raw(s)
     b = a[np.random.default_rng(data.draw(st.integers(0, 99))).permutation(a.shape[0])]
-    out = _convolve_raw(flat, m, a, b)
+    out = _convolve_raw(cert, a, b)
     assert out.shape == a.shape
     for i in range(a.shape[0]):
-        assert out[i].tobytes() == _convolve_raw(flat, m, a[i], b[i]).tobytes()
+        assert out[i].tobytes() == _convolve_raw(cert, a[i], b[i]).tobytes()
         assert out[i].tobytes() == _convolve(flat, m, a[i], b[i]).tobytes()
 
 
@@ -268,24 +271,25 @@ def test_stacked_convolution_rows_keep_single_call_bits(stack, data):
 @given(stacks(), st.lists(EXPONENTS, min_size=1, max_size=6))
 def test_stacked_powers_rows_keep_single_call_bits(stack, ns):
     s, a = stack
-    flat, m, zero = _raw(s)
-    out = _powers_raw(flat, m, zero, a, ns)
+    cert = certificate_of(s)
+    out = _powers_raw(cert, a, ns)
     for n, power in zip(ns, out):
         assert power.shape == a.shape
         for i in range(a.shape[0]):
-            assert power[i].tobytes() == _powers_raw(flat, m, zero, a[i], [n])[0].tobytes()
+            assert power[i].tobytes() == _powers_raw(cert, a[i], [n])[0].tobytes()
 
 
 @SETTINGS
 @given(stacks(max_size=3), GRID_ORDERS, st.sampled_from([2, 7, 16]))
 def test_grid_minimum_matches_former_batch_loop(stack, n, res):
     s, rows = stack
-    table, m, zero = certified_table(s), s.size, certified_zero(s)
+    cert = certificate_of(s)
+    table, m, zero = cert.add_table, s.size, cert.zero
     target = rows[0]
-    got = _grid_minimum_residual(table, m, zero, target, n, SolverConfig(grid_resolution=res))
+    got = _grid_minimum_residual(cert, target, n, SolverConfig(grid_resolution=res))
     assert got == old_grid_minimum_residual(table, m, zero, target, n, res)
     # any stack, not only grid points, scores as under the former loop
-    stacked = 0.5 * np.abs(_powers_raw(table.ravel(), m, zero, rows, [n])[0] - target[None, :]).sum(axis=1)
+    stacked = 0.5 * np.abs(_powers_raw(cert, rows, [n])[0] - target[None, :]).sum(axis=1)
     assert stacked.tobytes() == old_batch_power_residuals(table.ravel(), m, zero, rows, n, target).tobytes()
 
 
@@ -293,13 +297,13 @@ def test_grid_minimum_matches_former_batch_loop(stack, n, res):
 @given(stacks(), st.integers(1, 40))
 def test_power_gradient_keeps_former_formula_bits(stack, n):
     s, rows = stack
-    table = certified_table(s)
+    cert = certificate_of(s)
     flat, m, zero = _raw(s)
     w, target = rows[0], rows[-1]
     prev = raw_power(flat, m, zero, w, n - 1)
     full = _convolve(flat, m, prev, w)
-    expected = n * (prev[:, None] * (full - target)[table]).sum(axis=0)
-    assert _power_gradient_raw(table, m, zero, w, n, target).tobytes() == expected.tobytes()
+    expected = n * (prev[:, None] * (full - target)[cert.add_table]).sum(axis=0)
+    assert _power_gradient_raw(cert, w, n, target).tobytes() == expected.tobytes()
     nu, tgt = fc.measure(s, w), fc.measure(s, target)
-    direct = _power_gradient_raw(table, m, zero, nu.weights, n, tgt.weights)
+    direct = _power_gradient_raw(cert, nu.weights, n, tgt.weights)
     assert fc.power_gradient(nu, n, tgt).tobytes() == direct.tobytes()

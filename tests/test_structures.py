@@ -125,7 +125,7 @@ def test_verify_chain_by_least_upper_bound_formula():
 
 
 def test_verify_left_projection_counterexample():
-    cert = fc.verify_semigroup(catalog.from_add_table([[0, 0], [1, 1]]), install=False)
+    cert = fc.verify_semigroup(catalog.from_add_table([[0, 0], [1, 1]]))
     assert not cert.passed
     commutativity = cert.axiom("commutativity")
     assert not commutativity.holds
@@ -139,7 +139,7 @@ def test_verify_non_functional_sum():
     m = 2
     graph = RelationSymbol(3, np.ones((m, m, m), dtype=bool))
     s = FiniteStructure(m, relations={"theta": graph}, semigroup={"formula": "theta(x, y, z)"})
-    cert = fc.verify_semigroup(s, install=False)
+    cert = fc.verify_semigroup(s)
     assert not cert.axiom("unique_sum").holds
     assert cert.axiom("unique_sum").counterexample == (0, 0)
     assert cert.axiom("commutativity").holds
@@ -149,7 +149,7 @@ def test_verify_non_functional_sum():
 def test_verify_associativity_counterexample():
     # symmetric with identity row, but (1+1)+2 = 0 while 1+(1+2) = 1
     table = [[0, 1, 2], [1, 2, 0], [2, 0, 0]]
-    cert = fc.verify_semigroup(catalog.from_add_table(table), install=False)
+    cert = fc.verify_semigroup(catalog.from_add_table(table))
     assert cert.axiom("commutativity").holds
     assoc = cert.axiom("associativity")
     assert not assoc.holds
@@ -221,7 +221,7 @@ def test_certificate_flags_match_axiom_sentences():
         m = graph.shape[0]
         s = FiniteStructure(m, relations={"theta": RelationSymbol(3, graph)},
                             semigroup={"formula": "theta(x, y, z)"})
-        cert = fc.verify_semigroup(s, install=False)
+        cert = fc.verify_semigroup(s)
         for name, text in AXIOM_SENTENCES.items():
             sentence = fm.parse_formula(text, s)
             assert fc.eval_formula(s, sentence) == cert.axiom(name).holds, name
@@ -269,6 +269,12 @@ def test_model_validation_rejects_bad_tables():
         catalog.from_add_table([[0, 2], [1, 0]])
     with pytest.raises(ModelError):
         FiniteStructure(2, element_names={"a": 0, "b": 0})
+
+
+def test_relation_over_budget_is_refused_before_allocation():
+    # 10**12 cells: allocating the dense table would fail or exhaust memory
+    with pytest.raises(ModelError, match="exceeds budget"):
+        RelationSymbol.from_tuples(4, [], 1000)
 
 
 def test_chain_semilattice_fingerprint_is_stable():
