@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConcentrationError, MeasureError, FinconvError, StructureMismatchError
 from .measures import (
+    _SERIES_MAX_RATE,
     Measure,
     _convolve_raw,
     _correlate_raw,
@@ -398,8 +399,8 @@ def extract_jump(lam: Measure, r: float, K: int) -> Measure:
     zero is recovered as the complement, which avoids a subtraction that
     would amplify rounding by K/r.
     """
-    if not r > 0:
-        raise MeasureError(f"rate must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise MeasureError(f"rate must be finite and positive, got {r}")
     if K < 1:
         raise MeasureError("K must be a positive integer")
     zero = certificate_of(lam.structure).zero
@@ -420,6 +421,8 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
         raise MeasureError("K must be a positive integer")
     if not (math.isfinite(r) and r >= 0):
         raise MeasureError(f"rate must be finite and non-negative, got {r}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise MeasureError(f"eps must be finite and non-negative, got {eps}")
     ratio = math.exp(r - K * math.log1p(r / K))
     scalar = ConditionCheck("exp_ratio_near_one", abs(ratio - 1.0), float(eps), abs(ratio - 1.0) <= eps)
     event_err = tv_distance(mu, conv_power(lam, K))
@@ -443,12 +446,8 @@ def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
         key = w.tobytes()
         if cache.get("key") == key:
             return cache["val"]
-        if r == 0.0:
-            e = np.zeros(w.shape[0])
-            e[cert.zero] = 1.0
-        else:
-            raw = _series_raw(cert, w, [r], tol_exp)[0]
-            e = raw / math.fsum(raw.tolist())
+        raw = _series_raw(cert, w, [r], tol_exp)[0]
+        e = raw / math.fsum(raw.tolist())
         cache["key"] = key
         cache["val"] = e
         return e
@@ -482,8 +481,8 @@ def fit_levy_khintchine(
     identifiable even for exact fits, so only the residual is canonical.
     """
     cfg = cfg or SolverConfig()
-    if not r_max > 0:
-        raise MeasureError("r_max must be positive")
+    if not (math.isfinite(r_max) and 0 < r_max <= _SERIES_MAX_RATE):
+        raise MeasureError(f"r_max must be finite and in (0, {_SERIES_MAX_RATE}], got {r_max}")
     s = target.structure
     cert = certificate_of(s)
     m = target.size
@@ -532,7 +531,5 @@ def fit_levy_khintchine(
             best_tv, best_w = tv, w
 
     jump = _from_raw(s, best_w)
-    residual = tv_distance(conv_exp(jump, best_r, tol_exp), target) if best_r > 0 else tv_distance(
-        dirac(s, cert.zero), target
-    )
+    residual = tv_distance(conv_exp(jump, best_r, tol_exp), target)
     return LevyKhintchineFit(rate=best_r, jump=jump, residual=residual)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StructureMismatchError, TimelineError
+from .errors import MeasureError, StructureMismatchError, TimelineError
 from .measures import SUM_TOL, Measure, conv_exps, conv_powers, convolve, dirac, tv_distance
 from .structures import certificate_of, same_structure
 
@@ -196,6 +196,8 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     Scans pairs in increasing lexicographic order and keeps the first
     occurrence of the worst violation, so reports are deterministic.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
     ticks = path.timeline.ticks
     marg = path.marginals
     zero = certificate_of(path.structure).zero

@@ -17,14 +17,16 @@ compensated addition; the bilinear convolution kernel accumulates in C
 through np.bincount in a fixed order, whose worst-case error m^2 * eps
 stays far inside every tolerance asserted at desk scale.
 
-Shared power chains: the series for many rates walks one chain of powers
-mu^(n*), and powers for many exponents reuse one set of squares
-mu^(2^j). Each rate keeps its own Poisson weights, compensated
-accumulator and stop rule, and each exponent multiplies its squares in
-the same bit order, so every result has the bits of its single call; the
-kernels are deterministic, and a shared intermediate is the same array a
-separate call would have built. The stacked accumulators cost
-O(rates * m), the order of the returned measures.
+Shared power chains: the series for many rates stores one chain of
+powers mu^(0*), mu^(1*), ..., as long as the largest rate needs, and
+powers for many exponents reuse one set of squares mu^(2^j). Each rate
+sums its own Poisson weights over the head of the chain with the
+compensated accumulator that mixtures use, and each exponent multiplies
+its squares in the same bit order, so every result has the bits of its
+single call; the kernels are deterministic, and a shared intermediate is
+the same array a separate call would have built. The stored chain costs
+O(L * m) memory for the L = r + O(sqrt(r)) terms of the largest rate r:
+869 terms at r = 700 and 293 at r = 200, for tol 1e-9.
 
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
@@ -119,7 +121,8 @@ def uniform(structure: FiniteStructure) -> Measure:
 
 
 def _compensated_accumulate(vectors, coeffs, size: int) -> np.ndarray:
-    """Sum of coeff_i * vec_i with per-coordinate compensation."""
+    """Sum of coeff_i * vec_i with per-coordinate compensation, over as many
+    terms as the shorter of the two sequences holds."""
     acc = np.zeros(size)
     comp = np.zeros(size)
     for c, v in zip(coeffs, vectors):
@@ -241,8 +244,8 @@ def conv_powers(mu: Measure, ns) -> list[Measure]:
     if any(n < 0 for n in ns):
         raise MeasureError("convolution power requires n >= 0")
     cert = certificate_of(mu.structure)
-    todo = sorted({n for n in ns if n > 1})
-    powers = {0: dirac(mu.structure, cert.zero), 1: mu}
+    todo = sorted({n for n in ns if n != 1})
+    powers = {1: mu}
     for n, w in zip(todo, _powers_raw(cert, mu.weights, todo)):
         powers[n] = _from_raw(mu.structure, w)
     return [powers[n] for n in ns]
@@ -268,37 +271,21 @@ def _poisson_terms(r: float, tol: float) -> list[float]:
         terms.append(p)
 
 
-def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> np.ndarray:
-    """Poisson-weighted power series for each rate, one row per rate.
+def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
+    """Poisson-weighted power series for each rate, one vector per rate.
 
-    One chain power <- power * w serves every row. Row i adds p_n(r_i) *
-    power with compensation until its own stop rule fires (_poisson_terms)
-    and then stays frozen; the chain ends with the longest row.
+    The chain w^(0*), w^(1*), ... is built once, as long as the longest
+    list of Poisson terms (_poisson_terms) needs. Each rate then sums its
+    own terms over the head of the chain with _compensated_accumulate, the
+    same loop a single rate runs, so it keeps the bits of its single call.
     """
     terms = [_poisson_terms(float(r), tol) for r in rates]
-    order = sorted(range(len(terms)), key=lambda i: -len(terms[i]))
-    length = len(terms[order[0]]) if terms else 0
-    coeffs = np.zeros((len(terms), length))
-    for row, i in enumerate(order):
-        coeffs[row, : len(terms[i])] = terms[i]
     m = w.shape[0]
-    acc = np.zeros((len(terms), m))
-    comp = np.zeros((len(terms), m))
-    power = np.zeros(m)
-    power[cert.zero] = 1.0
-    live = len(terms)
-    for n in range(length):
-        while len(terms[order[live - 1]]) <= n:
-            live -= 1
-        if n:
-            power = _convolve_raw(cert, power, w)
-        term = coeffs[:live, n, None] * power - comp[:live]
-        t = acc[:live] + term
-        comp[:live] = (t - acc[:live]) - term
-        acc[:live] = t
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+    chain = [np.zeros(m)]
+    chain[0][cert.zero] = 1.0
+    for _ in range(max(map(len, terms), default=1) - 1):
+        chain.append(_convolve_raw(cert, chain[-1], w))
+    return [_compensated_accumulate(chain, p, m) for p in terms]
 
 
 def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
@@ -324,10 +311,11 @@ def conv_exp(mu: Measure, r: float, tol: float, method: str = "series") -> Measu
 
 
 def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Measure]:
-    """conv_exp(mu, r, tol, method) for each rate in order, from one shared series.
+    """conv_exp(mu, r, tol, method) for each rate in order, from one shared chain.
 
-    Rate 0 is the point mass at 0. The series serves every positive rate
-    up to 700; a larger rate, or any positive rate under method="squaring",
+    Every rate up to 700 sums its series over one stored chain of powers
+    (_series_raw); rate 0 keeps only the chain's first element, the point
+    mass at 0. A larger rate, or any positive rate under method="squaring",
     runs the squaring scheme on its own.
     """
     if method not in EXP_METHODS:
@@ -340,16 +328,11 @@ def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Me
         raise MeasureError(f"tolerance must be positive, got {tol}")
     cert = certificate_of(mu.structure)
     series_max = _SERIES_MAX_RATE if method == "series" else 0.0
-    series = [i for i, r in enumerate(rates) if 0.0 < r <= series_max]
-    rows = _series_raw(cert, mu.weights, [rates[i] for i in series], tol)
-    out: list = [None] * len(rates)
-    for i, row in zip(series, rows):
-        out[i] = _from_raw(mu.structure, row)
-    for i, r in enumerate(rates):
-        if r == 0.0:
-            out[i] = dirac(mu.structure, cert.zero)
-        elif r > series_max:
-            out[i] = _from_raw(mu.structure, _squaring_raw(cert, mu.weights, r, tol))
+    rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= series_max], tol))
+    out = []
+    for r in rates:
+        raw = next(rows) if r <= series_max else _squaring_raw(cert, mu.weights, r, tol)
+        out.append(_from_raw(mu.structure, raw))
     return out
 
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 EVAL_BUDGET = 10**8
+RELATIONAL_ASSOC_BUDGET = 10**11  # m**5 steps of the associativity scan when sums are not unique
 
 SEMIGROUP_VARS = ("x", "y", "z")
 
@@ -357,7 +358,9 @@ def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> Sem
     stopping at the first slice that fails. When sums are unique that takes
     O(m**2) scratch per slice and O(m**3) time in all; otherwise each slice
     multiplies 0/1 matrices into m**3 float32 counts, on top of a float32
-    copy of the graph, for O(m**5) time in all.
+    copy of the graph, for O(m**5) time in all. That scan is refused with
+    BudgetExceededError when m**5 exceeds RELATIONAL_ASSOC_BUDGET (10**11,
+    which admits m <= 158).
     """
     if theta is None:
         theta = semigroup_formula(s)
@@ -394,6 +397,11 @@ def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> Sem
                 cex3 = (x, *yz, int(min(left[yz], right[yz])))
                 break
     else:
+        if m**5 > RELATIONAL_ASSOC_BUDGET:
+            raise BudgetExceededError(
+                f"associativity scan of a relation with non-unique sums costs m**5 = {m}**5 steps, "
+                f"over budget {RELATIONAL_ASSOC_BUDGET}"
+            )
         # sums of at most m products of 0/1 values: exact in float32
         gf = graph.astype(np.float32)
         for x in range(m):

@@ -10,11 +10,13 @@ few bytes per cell of the m**3 graph.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
+from finconv.errors import BudgetExceededError
 from finconv.structures import AXIOM_NAMES, AxiomCheck, FiniteStructure, RelationSymbol, SemigroupCertificate
 from helpers import certified
 
@@ -207,3 +209,10 @@ def test_relational_certification_peak_is_bounded_per_cell():
     cert = fc.verify_semigroup(s)
     assert not cert.axiom("unique_sum").holds and not cert.axiom("associativity").holds
     assert _peak_bytes_per_cell(s) <= 16
+
+
+def test_relational_scan_over_budget_is_refused():
+    # 160**5 steps of the m**5 scan exceed RELATIONAL_ASSOC_BUDGET: refused before it starts
+    s = _relation_structure(np.ones((160, 160, 160), dtype=bool))
+    with pytest.raises(BudgetExceededError, match="160\\*\\*5"):
+        fc.verify_semigroup(s)

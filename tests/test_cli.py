@@ -271,6 +271,20 @@ def test_malformed_model_is_input_error(tmp_path, name):
     _assert_input_error(run_cli("verify", str(model)))
 
 
+def test_out_of_range_numbers_are_input_errors(files, tmp_path):
+    c2 = str(files / "c2.json")
+    # an infinite r_max never ends the Poisson terms; past 700 exp(-r) underflows
+    for r_max in ("inf", "nan", "800", "0"):
+        _assert_input_error(run_cli("fit-lk", str(files / "j2.json"), str(files / "quarter.json"), "--r-max", r_max))
+    _assert_input_error(run_cli("extract-jump", c2, str(files / "lam.json"), "--r", "inf", "--K", "10"))
+    csv = tmp_path / "path.csv"
+    assert run_cli("levy-root", c2, str(files / "mu.json"), "--N", "4", "-o", str(csv)).returncode == 0
+    concentration = ["concentration", c2, str(files / "d1.json"), str(files / "lam.json"), "--r", "1", "--K", "2"]
+    for bad in ("nan", "inf", "-1"):
+        _assert_input_error(run_cli("levy-validate", c2, str(csv), "--tol", bad))
+        _assert_input_error(run_cli(*concentration, "--eps", bad))
+
+
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):
     csv = tmp_path / "path.csv"
     run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "8", "-o", str(csv))

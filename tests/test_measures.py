@@ -178,7 +178,10 @@ def test_conv_power_matches_iteration_on_zoo():
 def test_conv_exp_rate_zero(z8):
     rng = np.random.default_rng(1)
     mu = random_measure(z8, rng)
-    assert fc.conv_exp(mu, 0.0, 1e-9).weights.tolist() == fc.dirac(z8, 0).weights.tolist()
+    unit = fc.dirac(z8, 0).weights.tobytes()
+    for method in ("series", "squaring"):
+        assert fc.conv_exp(mu, 0.0, 1e-9, method=method).weights.tobytes() == unit
+    assert fc.conv_power(mu, 0).weights.tobytes() == unit
 
 
 def test_conv_exp_analytic_c2(c2):

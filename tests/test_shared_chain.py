@@ -115,7 +115,7 @@ def one_exponent_power(mu, n):
 
 
 @SETTINGS
-@given(measures(), st.floats(1e-3, 40.0), st.sampled_from([1e-6, 1e-9, 1e-12]))
+@given(measures(), st.one_of(st.just(0.0), st.floats(1e-3, 40.0)), st.sampled_from([1e-6, 1e-9, 1e-12]))
 def test_conv_exp_keeps_one_rate_series_bits(mu, r, tol):
     assert fc.conv_exp(mu, r, tol).weights.tobytes() == one_rate_series(mu, r, tol).tobytes()
 
