@@ -70,8 +70,8 @@ class SolverConfig:
             raise MeasureError("restarts must be at least 1")
         if self.max_iters < 1:
             raise MeasureError("max_iters must be at least 1")
-        if not self.tol_residual > 0:
-            raise MeasureError("tol_residual must be positive")
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise MeasureError(f"tol_residual must be finite and positive, got {self.tol_residual}")
         if self.grid_resolution < 2:
             raise MeasureError("grid_resolution must be at least 2")
 

@@ -324,8 +324,8 @@ def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Me
     for r in rates:
         if not math.isfinite(r) or r < 0:
             raise MeasureError(f"rate must be finite and non-negative, got {r}")
-    if not tol > 0:
-        raise MeasureError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise MeasureError(f"tolerance must be finite and positive, got {tol}")
     cert = certificate_of(mu.structure)
     series_max = _SERIES_MAX_RATE if method == "series" else 0.0
     rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= series_max], tol))

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SUBCOMMANDS = [
@@ -271,6 +272,21 @@ def test_malformed_model_is_input_error(tmp_path, name):
     _assert_input_error(run_cli("verify", str(model)))
 
 
+def test_verify_table_over_budget_is_input_error(tmp_path):
+    # no m**3 graph is built for a table, but m**3 is still held to the budget
+    i = np.arange(465)
+    table = ((i[:, None] + i[None, :]) % 465).tolist()
+    model = tmp_path / "z465.json"
+    model.write_text(json.dumps({
+        "universe": 465,
+        "functions": {"add": {"arity": 2, "table": table}},
+        "semigroup": {"function": "add"},
+    }))
+    proc = run_cli("verify", str(model))
+    _assert_input_error(proc)
+    assert "465**3" in proc.stderr
+
+
 def test_out_of_range_numbers_are_input_errors(files, tmp_path):
     c2 = str(files / "c2.json")
     # an infinite r_max never ends the Poisson terms; past 700 exp(-r) underflows
@@ -283,6 +299,12 @@ def test_out_of_range_numbers_are_input_errors(files, tmp_path):
     for bad in ("nan", "inf", "-1"):
         _assert_input_error(run_cli("levy-validate", c2, str(csv), "--tol", bad))
         _assert_input_error(run_cli(*concentration, "--eps", bad))
+    # an infinite tolerance cuts the series after a few terms and certifies any root
+    mu = str(files / "mu.json")
+    _assert_input_error(run_cli("exp", c2, mu, "--r", "3", "--tol", "inf"))
+    _assert_input_error(run_cli("root", c2, mu, "--n", "2", "--tol", "inf"))
+    levy = ["levy-exp", c2, mu, "--r", "1", "--tol", "inf", "-o", str(tmp_path / "p.csv")]
+    _assert_input_error(run_cli(*levy, "--manifest", str(tmp_path / "p.json")))
 
 
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):

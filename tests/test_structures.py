@@ -74,6 +74,40 @@ def test_eval_with_quantifiers_matches_scalar_oracle():
         assert fc.eval_formula(s, f, env) == scalar_eval(s, f, env)
 
 
+def _atom(rng, s, scope):
+    """A relation or equality atom whose arguments are drawn from scope,
+    repeats and any order allowed."""
+    def var():
+        return fm.Var(scope[int(rng.integers(len(scope)))])
+
+    if s.relations and rng.random() < 0.7:
+        name = sorted(s.relations)[int(rng.integers(len(s.relations)))]
+        return fm.RelationAtom(name, tuple(var() for _ in range(s.relations[name].arity)))
+    return fm.EqualityAtom(var(), var())
+
+
+def test_evaluate_region_matches_scalar_oracle():
+    # grids of one to three variables in any order, a variable bound by env,
+    # and quantified bodies over the grid: every cell against the scalar oracle
+    rng = np.random.default_rng(8)
+    for _ in range(120):
+        s = random_semigroup(rng, max_m=5)
+        if rng.random() < 0.5:
+            s = catalog.relation_model(s)
+        grid = tuple(rng.permutation(["x", "y", "z"])[: int(rng.integers(1, 4))])
+        scope = list(grid) + ["w"]
+        quantifier = (fm.Forall, fm.Exists, fm.ExistsUnique)[int(rng.integers(3))]
+        f = fm.And(
+            fm.Or(random_formula(rng, s, free_var=grid[0]), random_formula(rng, s, free_var="e")),
+            quantifier("w", fm.Implies(_atom(rng, s, scope), _atom(rng, s, scope))),
+        )
+        env = {"e": int(rng.integers(s.size))}
+        table = fc.evaluate_region(s, f, grid, env)
+        assert table.shape == (s.size,) * len(grid) and table.dtype == bool
+        for cell in iproduct(range(s.size), repeat=len(grid)):
+            assert table[cell] == scalar_eval(s, f, {**env, **dict(zip(grid, cell))})
+
+
 # --- definable_set -----------------------------------------------------------
 
 def test_definable_set_idempotents(j2rel):
