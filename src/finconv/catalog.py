@@ -73,8 +73,8 @@ def chain_poset(m: int) -> FiniteStructure:
     )
 
 
-def relation_model(s: FiniteStructure, name: str = "theta") -> FiniteStructure:
-    """Re-present a certified structure with its sum as a ternary relation."""
+def relation_model(s: FiniteStructure) -> FiniteStructure:
+    """Re-present a certified structure with its sum as the ternary relation theta."""
     table = certificate_of(s).add_table
     m = s.size
     graph = np.zeros((m, m, m), dtype=bool)
@@ -82,10 +82,10 @@ def relation_model(s: FiniteStructure, name: str = "theta") -> FiniteStructure:
     graph[x, y, table] = True
     return FiniteStructure(
         m,
-        relations={name: RelationSymbol(3, graph)},
+        relations={"theta": RelationSymbol(3, graph)},
         constants=dict(s.constants),
         element_names=dict(s.element_names) if s.element_names else None,
-        semigroup={"formula": f"{name}(x, y, z)"},
+        semigroup={"formula": "theta(x, y, z)"},
     )
 
 

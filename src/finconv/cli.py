@@ -36,7 +36,7 @@ from .levy import (
     make_timeline,
     validate_levy,
 )
-from .measures import EXP_METHODS, conv_exp, conv_power, convolve, measure_of_event
+from .measures import conv_exp, conv_power, convolve, measure_of_event
 from .structures import definable_set, verify_semigroup
 
 
@@ -69,7 +69,6 @@ def _solver_config(args) -> SolverConfig:
         restarts=args.restarts,
         max_iters=args.max_iters,
         tol_residual=args.tol,
-        grid_resolution=args.grid_resolution,
     )
 
 
@@ -97,15 +96,10 @@ def cmd_eval(args) -> int:
     s = fileio.load_model(args.model)
     mu = fileio.load_measure(args.measure, s)
     f = parse_formula(args.formula, s)
-    var = args.var
-    if var is None:
-        free = sorted(free_variables(f))
-        if len(free) != 1:
-            raise FreeVariableError(
-                f"event formula must have exactly one free variable, has {free}; use --var"
-            )
-        var = free[0]
-    event = definable_set(s, f, var)
+    free = sorted(free_variables(f))
+    if len(free) != 1:
+        raise FreeVariableError(f"event formula must have exactly one free variable, has {free}")
+    event = definable_set(s, f, free[0])
     p = measure_of_event(mu, event)
     _write(
         fileio.canonical_json(
@@ -134,7 +128,7 @@ def cmd_power(args) -> int:
 def cmd_exp(args) -> int:
     s = _load_certified(args.model)
     mu = fileio.load_measure(args.measure, s)
-    _emit_measure(conv_exp(mu, args.r, args.tol, method=args.method), args)
+    _emit_measure(conv_exp(mu, args.r, args.tol), args)
     return 0
 
 
@@ -258,7 +252,6 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--restarts", type=int, default=16, help="descent restarts")
     p.add_argument("--max-iters", type=int, default=5000, help="iteration cap per restart")
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    p.add_argument("--grid-resolution", type=int, default=64, help="grid oracle resolution per coordinate (m <= 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", cmd_eval, "probability of a formula-defined event")
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--formula", required=True, help="formula with one free variable")
-    p.add_argument("--var", default=None, help="the event variable (inferred when unique)")
 
     p = add("convolve", cmd_convolve, "convolution of two measures")
     p.add_argument("left", help="measure JSON file")
@@ -299,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--r", type=float, required=True, help="rate")
     p.add_argument("--tol", type=float, default=1e-9, help="total-variation tolerance")
-    p.add_argument("--method", choices=EXP_METHODS, default="series", help="evaluation scheme")
 
     p = add("root", cmd_root, "search for an n-th convolution root")
     p.add_argument("measure", help="target measure JSON file")

@@ -44,6 +44,7 @@ VERDICT_LOCAL = "local_minimum_only"
 VERDICT_INFEASIBLE = "infeasible_lower_bound"
 
 GRID_ORACLE_MAX_SIZE = 3
+GRID_RESOLUTION = 64  # grid oracle points per simplex coordinate
 DISTINCT_ROOT_TV = 1e-4
 
 # exponentiated-gradient step rule: Armijo backtracking, geometric regrowth
@@ -55,15 +56,14 @@ ARMIJO = 1e-4
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the simplex descent and the grid oracle; the step rule is
-    fixed by the module constants STEP_INIT, STEP_GROWTH, STEP_SHRINK and
-    ARMIJO."""
+    """Knobs for the simplex descent; the step rule is fixed by the module
+    constants STEP_INIT, STEP_GROWTH, STEP_SHRINK and ARMIJO, and the grid
+    oracle by GRID_RESOLUTION."""
 
     seed: int = 0
     restarts: int = 16
     max_iters: int = 5000
     tol_residual: float = 1e-9
-    grid_resolution: int = 64
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -72,8 +72,6 @@ class SolverConfig:
             raise MeasureError("max_iters must be at least 1")
         if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
             raise MeasureError(f"tol_residual must be finite and positive, got {self.tol_residual}")
-        if self.grid_resolution < 2:
-            raise MeasureError("grid_resolution must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def _grid_candidates(m, lo, hi, res):
     return np.maximum(pts, 0.0)
 
 
-def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n, cfg: SolverConfig) -> float:
+def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n) -> float:
     """Smallest residual over an exhaustive simplex grid, refined 3 rounds.
 
     This is grid-evaluated evidence: the reported value is the attained
@@ -237,21 +235,20 @@ def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n, cfg: SolverC
     m = target_w.shape[0]
     if m == 1:
         return float(abs(1.0 - target_w[0]))  # the unique measure is its own power
-    res = cfg.grid_resolution
     lo = np.zeros(m - 1)
     hi = np.ones(m - 1)
     best_val = math.inf
     best_pt = None
     half = None
     for _ in range(4):
-        pts = _grid_candidates(m, lo, hi, res)
+        pts = _grid_candidates(m, lo, hi, GRID_RESOLUTION)
         result = _powers_raw(cert, pts, [n])[0]
         vals = 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_pt = pts[k]
-        step = (hi - lo).max() / res
+        step = (hi - lo).max() / GRID_RESOLUTION
         half = step if half is None else half / 4.0
         center = best_pt[: m - 1]
         lo = np.clip(center - half, 0.0, 1.0)
@@ -310,7 +307,7 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
 
     lower = None
     if m <= GRID_ORACLE_MAX_SIZE:
-        lower = min(_grid_minimum_residual(cert, target.weights, n, cfg), residual)
+        lower = min(_grid_minimum_residual(cert, target.weights, n), residual)
 
     if residual <= cfg.tol_residual:
         verdict = VERDICT_EXACT
@@ -463,10 +460,10 @@ def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
     return j_eval, g_eval
 
 
-def _rate_grid(r_max: float, points: int = 64) -> list[float]:
-    half = points // 2
-    linear = np.linspace(0.0, r_max, half)
-    geometric = np.geomspace(max(r_max * 1e-3, 1e-12), r_max, points - half)
+def _rate_grid(r_max: float) -> list[float]:
+    """The coarse rates of the fit: 0, and 32 even and 32 geometric steps to r_max."""
+    linear = np.linspace(0.0, r_max, 32)
+    geometric = np.geomspace(max(r_max * 1e-3, 1e-12), r_max, 32)
     return sorted(set([0.0] + linear.tolist() + geometric.tolist()))
 
 

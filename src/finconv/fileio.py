@@ -26,7 +26,7 @@ from .levy import (
     same_ticks,
 )
 from .measures import Measure, dirac, measure
-from .structures import FiniteStructure, FunctionSymbol, RelationSymbol, SemigroupCertificate
+from .structures import FiniteStructure, FunctionSymbol, RelationSymbol, SemigroupCertificate, as_integer, element_of
 
 
 def canonical_json(obj) -> str:
@@ -35,15 +35,6 @@ def canonical_json(obj) -> str:
 
 
 # --- models -----------------------------------------------------------------
-
-def _integer(v, what: str) -> int:
-    """A JSON integer, or a float with an integral value; never a boolean."""
-    if type(v) is int:
-        return v
-    if type(v) is float and v.is_integer():
-        return int(v)
-    raise ModelError(f"{what} must be an integer, got {v!r}")
-
 
 def _section(doc: dict, key: str) -> dict:
     value = doc.get(key) or {}
@@ -65,16 +56,9 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
     else:
         raise ModelError('"universe" must be an integer or a list of names')
 
-    def resolve(v):
-        if isinstance(v, str):
-            if names is None or v not in names:
-                raise ModelError(f"unknown element name {v!r}")
-            return names[v]
-        return _integer(v, "an element")
-
     def resolve_nested(node, depth):
         if depth == 0:
-            return resolve(node)
+            return element_of(node, names)
         if not isinstance(node, list) or len(node) != size:
             raise ModelError(f"function table must nest lists of length {size} to depth {depth}")
         return [resolve_nested(child, depth - 1) for child in node]
@@ -86,17 +70,20 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
 
     functions = {}
     for sym, spec in _section(doc, "functions").items():
-        arity = _integer(field(spec, sym, "arity"), f"arity of {sym!r}")
-        table = np.asarray(resolve_nested(field(spec, sym, "table"), arity), dtype=np.int64)
+        arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        try:
+            table = np.asarray(resolve_nested(field(spec, sym, "table"), arity), dtype=np.int64)
+        except OverflowError as exc:
+            raise ModelError(f"function {sym!r}: table entry outside the universe") from exc
         functions[sym] = FunctionSymbol(arity, table)
     relations = {}
     for sym, spec in _section(doc, "relations").items():
-        arity = _integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")
         rows = field(spec, sym, "tuples")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ModelError(f"tuples of {sym!r} must be a list of lists")
-        relations[sym] = RelationSymbol.from_tuples(arity, [[resolve(v) for v in row] for row in rows], size)
-    constants = {sym: resolve(v) for sym, v in _section(doc, "constants").items()}
+        relations[sym] = RelationSymbol.from_tuples(arity, [[element_of(v, names) for v in row] for row in rows], size)
+    constants = {sym: element_of(v, names) for sym, v in _section(doc, "constants").items()}
     semigroup = doc.get("semigroup")
     if semigroup is not None and not isinstance(semigroup, dict):
         raise ModelError('"semigroup" must be an object')
@@ -130,7 +117,10 @@ def measure_from_dict(doc: dict, structure: FiniteStructure) -> Measure:
     if "point" in doc:
         return dirac(structure, structure.element_index(doc["point"]))
     if "weights" in doc:
-        return measure(structure, doc["weights"])
+        weights = doc["weights"]
+        if not isinstance(weights, list) or not all(type(w) in (int, float) for w in weights):
+            raise ModelError('"weights" must be a list of numbers')
+        return measure(structure, weights)
     raise ModelError('measure file needs "weights" or "point"')
 
 
@@ -257,6 +247,8 @@ def timeline_from_dict(doc: dict) -> Timeline:
         raise ModelError(f"{kind} timeline needs a {key!r} field")
     if key == "ticks" and not isinstance(doc[key], list):
         raise ModelError(f"{kind} timeline ticks must be a list")
+    if key == "N":
+        return make_timeline(kind, as_integer(doc[key], "grid size N"))
     return make_timeline(kind, doc[key])
 
 
@@ -280,8 +272,8 @@ def load_path(path, structure: FiniteStructure) -> LevyPath:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "csv" not in doc or "timeline" not in doc:
-            raise ModelError('manifest needs "csv" and "timeline" fields')
+        if not isinstance(doc, dict) or not isinstance(doc.get("csv"), str) or "timeline" not in doc:
+            raise ModelError('manifest needs a "csv" path string and a "timeline" field')
         csv_file = (p.parent / doc["csv"]).resolve()
         try:
             csv_text = csv_file.read_text()

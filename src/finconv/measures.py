@@ -49,7 +49,6 @@ from .structures import FiniteStructure, SemigroupCertificate, certificate_of, s
 SUM_TOL = 1e-9  # accepted deviation of input weights from total mass 1
 _CLAMP = 1e-9  # most negative weight an internal result may carry before renormalizing
 _SERIES_MAX_RATE = 700  # above it exp(-r) underflows; conv_exp switches to squaring
-EXP_METHODS = ("series", "squaring")
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,6 @@ class Measure:
     def size(self) -> int:
         return self.weights.shape[0]
 
-    def mass_at(self, a: int) -> float:
-        return float(self.weights[a])
-
     def __repr__(self):
         w = ", ".join(f"{v:.6g}" for v in self.weights)
         return f"Measure([{w}])"
@@ -81,7 +77,10 @@ def _check_pair(mu: Measure, nu: Measure) -> None:
 
 def measure(structure: FiniteStructure, weights) -> Measure:
     """Validate a weight vector and renormalize it onto the simplex."""
-    w = np.array(weights, dtype=np.float64)
+    try:
+        w = np.array(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MeasureError(f"weights must be numbers: {exc}") from exc
     if w.shape != (structure.size,):
         raise MeasureError(f"expected {structure.size} weights, got shape {w.shape}")
     if (w < 0).any():
@@ -298,28 +297,25 @@ def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
     return acc
 
 
-def conv_exp(mu: Measure, r: float, tol: float, method: str = "series") -> Measure:
+def conv_exp(mu: Measure, r: float, tol: float) -> Measure:
     """Exponential of the measure under convolution, within tol in total variation.
 
-    The default evaluates the Poisson-weighted series directly, which
-    carries a certifiable truncation bound. method="squaring" instead
-    halves r until small, runs the series there, and squares back up;
-    each squaring doubles the inherited error, so the inner tolerance is
-    scaled down accordingly.
+    The rate picks the scheme. Up to 700 the Poisson-weighted series is
+    summed directly, which carries a certifiable truncation bound. Above
+    700, where exp(-r) underflows, r is halved until small, the series runs
+    there, and the result is squared back up; each squaring doubles the
+    inherited error, so the inner tolerance is scaled down accordingly.
     """
-    return conv_exps(mu, [r], tol, method)[0]
+    return conv_exps(mu, [r], tol)[0]
 
 
-def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Measure]:
-    """conv_exp(mu, r, tol, method) for each rate in order, from one shared chain.
+def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
+    """conv_exp(mu, r, tol) for each rate in order, from one shared chain.
 
     Every rate up to 700 sums its series over one stored chain of powers
     (_series_raw); rate 0 keeps only the chain's first element, the point
-    mass at 0. A larger rate, or any positive rate under method="squaring",
-    runs the squaring scheme on its own.
+    mass at 0. A larger rate runs the squaring scheme on its own.
     """
-    if method not in EXP_METHODS:
-        raise MeasureError(f"unknown conv_exp method {method!r}")
     rates = [float(r) for r in rates]
     for r in rates:
         if not math.isfinite(r) or r < 0:
@@ -327,11 +323,10 @@ def conv_exps(mu: Measure, rates, tol: float, method: str = "series") -> list[Me
     if not (math.isfinite(tol) and tol > 0):
         raise MeasureError(f"tolerance must be finite and positive, got {tol}")
     cert = certificate_of(mu.structure)
-    series_max = _SERIES_MAX_RATE if method == "series" else 0.0
-    rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= series_max], tol))
+    rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= _SERIES_MAX_RATE], tol))
     out = []
     for r in rates:
-        raw = next(rows) if r <= series_max else _squaring_raw(cert, mu.weights, r, tol)
+        raw = next(rows) if r <= _SERIES_MAX_RATE else _squaring_raw(cert, mu.weights, r, tol)
         out.append(_from_raw(mu.structure, raw))
     return out
 

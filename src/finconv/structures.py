@@ -48,6 +48,27 @@ RELATIONAL_ASSOC_BUDGET = 10**11  # m**5 steps of the associativity scan when su
 SEMIGROUP_VARS = ("x", "y", "z")
 
 
+def as_integer(v, what: str) -> int:
+    """A Python or NumPy integer, or a float with an integral value; never a
+    boolean. The one reading of an integer in a model or measure file."""
+    if type(v) is int or isinstance(v, np.integer):
+        return int(v)
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise ModelError(f"{what} must be an integer, got {v!r}")
+
+
+def element_of(label, names: dict[str, int] | None) -> int:
+    """An element given as one of `names` or as an integer (as_integer), the
+    one reading of an element in a model or measure file; the range is the
+    caller's to check."""
+    if isinstance(label, str):
+        if names is None or label not in names:
+            raise ModelError(f"unknown element name {label!r}")
+        return names[label]
+    return as_integer(label, "an element")
+
+
 @dataclass(frozen=True)
 class FunctionSymbol:
     arity: int
@@ -159,13 +180,8 @@ class FiniteStructure:
         return None
 
     def element_index(self, label) -> int:
-        """Resolve an element given as an index or a name."""
-        if isinstance(label, str):
-            idx = self.constant_index(label)
-            if idx is None:
-                raise ModelError(f"unknown element name {label!r}")
-            return idx
-        idx = int(label)
+        """Resolve an element given as a constant, an element name or an index."""
+        idx = element_of(label, {**(self.element_names or {}), **self.constants})
         if not 0 <= idx < self.size:
             raise ModelError(f"element index {idx} outside universe of size {self.size}")
         return idx
@@ -496,8 +512,11 @@ def _relational_axioms(graph: np.ndarray) -> tuple[tuple[int, ...] | None, tuple
     return cex2, cex3, np.flatnonzero(diag.all(axis=1))
 
 
-def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> SemigroupCertificate:
-    """Exhaustively check that theta(x, y, z) defines a commutative monoid.
+def verify_semigroup(s: FiniteStructure) -> SemigroupCertificate:
+    """Exhaustively check that the semigroup s declares is a commutative monoid.
+
+    The declared semigroup is a formula theta(x, y, z) or a binary function
+    fn, read as fn(x, y) = z (semigroup_formula); only it is certified.
 
     Checks, in order: every pair has a unique sum; the sum is commutative;
     the sum is associative; a neutral element exists (necessarily unique
@@ -506,9 +525,9 @@ def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> Sem
     certificate is installed on s. Axiom failures are reported in the
     certificate, not raised, and leave s uncertified.
 
-    Cost: when the semigroup is a declared binary function (theta None),
-    its m**2 table is the sum and no graph is built; m**3 is still held to
-    EVAL_BUDGET, as the graph of fn(x, y) = z would be. Otherwise the graph
+    Cost: when the semigroup is a declared binary function, its m**2 table
+    is the sum and no graph is built; m**3 is still held to EVAL_BUDGET, as
+    the graph of fn(x, y) = z would be. Otherwise the graph
     of theta is evaluated one x-row (m**2 cells) at a time and the table is
     read off each row, so the m**3 graph is never held while sums are
     unique. On the table, commutativity and the neutral element cost
@@ -523,9 +542,8 @@ def verify_semigroup(s: FiniteStructure, theta: fm.Formula | None = None) -> Sem
     scan is refused with BudgetExceededError when m**5 exceeds
     RELATIONAL_ASSOC_BUDGET (10**11, which admits m <= 158).
     """
-    by_table = theta is None and "function" in (s.semigroup_spec or {})
-    if theta is None:
-        theta = semigroup_formula(s)  # parsed for a table too: it refuses a name formulas cannot spell
+    theta = semigroup_formula(s)  # parsed for a table too: it refuses a name formulas cannot spell
+    by_table = "function" in s.semigroup_spec
     extra = fm.free_variables(theta) - set(SEMIGROUP_VARS)
     if extra:
         raise FreeVariableError(

@@ -260,6 +260,9 @@ MALFORMED_MODELS = {
     "semigroup-text": _c2_with(semigroup="add"),
     "semigroup-function-list": _c2_with(semigroup={"function": ["add"]}),
     "universe-boolean": _c2_with(universe=True, functions={"add": {"arity": 2, "table": [[0]]}}, constants={}),
+    # entries beyond int64 must not overflow the table conversion
+    "huge-entry": _add_with(table=[[0, 10**23], [1, 0]]),
+    "huge-float-entry": _add_with(table=[[0, 1e300], [1, 0]]),
     # 1000**4 cells: the dense table must be refused before it is allocated
     "relation-over-budget": {"universe": 1000, "relations": {"r": {"arity": 4, "tuples": []}}},
 }
@@ -270,6 +273,49 @@ def test_malformed_model_is_input_error(tmp_path, name):
     model = tmp_path / f"{name}.json"
     model.write_text(json.dumps(MALFORMED_MODELS[name]))
     _assert_input_error(run_cli("verify", str(model)))
+
+
+MALFORMED_MEASURES = {
+    "fractional-point": {"point": 1.7},
+    "boolean-point": {"point": True},
+    "list-point": {"point": [1]},
+    "null-point": {"point": None},
+    "text-weights": {"weights": "abc"},
+    "boolean-weights": {"weights": [True, False]},
+    "quoted-weights": {"weights": ["0.5", "0.5"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MEASURES))
+def test_malformed_measure_is_input_error(files, tmp_path, name):
+    mu = tmp_path / f"{name}.json"
+    mu.write_text(json.dumps(MALFORMED_MEASURES[name]))
+    _assert_input_error(run_cli("power", str(files / "c2.json"), str(mu), "--n", "1"))
+
+
+MALFORMED_MANIFESTS = {
+    "csv-number": {"csv": 5, "timeline": {"kind": "uniform_grid", "N": 4}},
+    "csv-list": {"csv": ["grid4.csv"], "timeline": {"kind": "uniform_grid", "N": 4}},
+    "fractional-N": {"csv": "grid4.csv", "timeline": {"kind": "uniform_grid", "N": 4.5}},
+    "boolean-N": {"csv": "grid1.csv", "timeline": {"kind": "uniform_grid", "N": True}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_input_error(files, tmp_path, name):
+    c2 = str(files / "c2.json")
+    for n in ("1", "4"):
+        csv = tmp_path / f"grid{n}.csv"
+        assert run_cli("levy-root", c2, str(files / "mu.json"), "--N", n, "-o", str(csv)).returncode == 0
+    manifest = tmp_path / f"{name}.json"
+    manifest.write_text(json.dumps(MALFORMED_MANIFESTS[name]))
+    _assert_input_error(run_cli("levy-validate", c2, str(manifest)))
+
+
+def test_eval_needs_one_free_variable(files):
+    proc = run_cli("eval", str(files / "c2.json"), str(files / "mu.json"), "--formula", "add(x, y) = zero")
+    _assert_input_error(proc)
+    assert "exactly one free variable" in proc.stderr
 
 
 def test_verify_table_over_budget_is_input_error(tmp_path):

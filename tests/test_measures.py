@@ -7,6 +7,8 @@ import pytest
 import finconv as fc
 from finconv import catalog
 from finconv.errors import MeasureError, NotCertifiedError, StructureMismatchError
+from finconv.measures import _series_raw, _squaring_raw
+from finconv.structures import certificate_of
 from helpers import (
     certified,
     cyclic_exp_oracle,
@@ -19,6 +21,12 @@ from helpers import (
 
 
 # --- constructors -------------------------------------------------------------
+
+def test_measure_rejects_non_numeric_weights(c2):
+    for bad in ("abc", [{"a": 1}, 0.5], ["x", "y"]):
+        with pytest.raises(MeasureError, match="weights must be numbers"):
+            fc.measure(c2, bad)
+
 
 def test_dirac_basic(c2):
     assert fc.dirac(c2, 0).weights.tolist() == [1.0, 0.0]
@@ -179,8 +187,7 @@ def test_conv_exp_rate_zero(z8):
     rng = np.random.default_rng(1)
     mu = random_measure(z8, rng)
     unit = fc.dirac(z8, 0).weights.tobytes()
-    for method in ("series", "squaring"):
-        assert fc.conv_exp(mu, 0.0, 1e-9, method=method).weights.tobytes() == unit
+    assert fc.conv_exp(mu, 0.0, 1e-9).weights.tobytes() == unit
     assert fc.conv_power(mu, 0).weights.tobytes() == unit
 
 
@@ -206,22 +213,14 @@ def test_conv_exp_parameter_errors(c2):
         fc.conv_exp(d1, 1.0, 0.0)
 
 
-def test_conv_exp_rejects_unknown_method_at_every_rate(c2):
-    d1 = fc.dirac(c2, 1)
-    for r in (0.0, 1.0, 900.0):
-        with pytest.raises(MeasureError, match="unknown conv_exp method"):
-            fc.conv_exp(d1, r, 1e-9, method="bogus")
-        with pytest.raises(MeasureError, match="unknown conv_exp method"):
-            fc.conv_exps(d1, [r], 1e-9, method="bogus")
-
-
 def test_conv_exps_squaring_matches_single_calls(z8):
+    # rates above 700 run the squaring scheme, the others share one series chain
     mu = random_measure(z8, np.random.default_rng(15))
-    rates = [2.0, 0.0, 7.5, 900.0]
-    many = fc.conv_exps(mu, rates, 1e-10, method="squaring")
-    assert many[1].weights.tolist() == fc.dirac(z8, 0).weights.tolist()
+    rates = [2.0, 900.0, 0.0, 700.0, 7.5, 1200.0]
+    many = fc.conv_exps(mu, rates, 1e-10)
+    assert many[2].weights.tolist() == fc.dirac(z8, 0).weights.tolist()
     for r, got in zip(rates, many):
-        assert got.weights.tobytes() == fc.conv_exp(mu, r, 1e-10, method="squaring").weights.tobytes()
+        assert got.weights.tobytes() == fc.conv_exp(mu, r, 1e-10).weights.tobytes()
 
 
 def test_conv_exp_truncation_meets_tolerance(z8):
@@ -233,13 +232,15 @@ def test_conv_exp_truncation_meets_tolerance(z8):
         assert 0.5 * np.abs(out.weights - reference).sum() <= tol
 
 
-def test_conv_exp_squaring_flag(z8):
+def test_conv_exp_squaring_matches_series(z8):
+    # conv_exp squares only above rate 700; the scheme is checked below it here
     rng = np.random.default_rng(14)
     mu = random_measure(z8, rng)
+    cert = certificate_of(z8)
     for r in (0.5, 2.0, 7.5):
-        a = fc.conv_exp(mu, r, 1e-10, method="series")
-        b = fc.conv_exp(mu, r, 1e-10, method="squaring")
-        assert fc.tv_distance(a, b) <= 2e-10
+        a = _series_raw(cert, mu.weights, [r], 1e-10)[0]
+        b = _squaring_raw(cert, mu.weights, r, 1e-10)
+        assert fc.tv_distance(fc.measure(z8, a), fc.measure(z8, b)) <= 2e-10
 
 
 def test_conv_exp_character_transform_oracle():

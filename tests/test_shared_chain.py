@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
-from finconv.divisibility import SolverConfig, _grid_candidates, _grid_minimum_residual, _power_gradient_raw
+from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_gradient_raw
 from finconv.errors import MeasureError
 from finconv.measures import _convolve_raw, _powers_raw
 from finconv.structures import certificate_of
@@ -280,14 +280,14 @@ def test_stacked_powers_rows_keep_single_call_bits(stack, ns):
 
 
 @SETTINGS
-@given(stacks(max_size=3), GRID_ORDERS, st.sampled_from([2, 7, 16]))
-def test_grid_minimum_matches_former_batch_loop(stack, n, res):
+@given(stacks(max_size=3), GRID_ORDERS)
+def test_grid_minimum_matches_former_batch_loop(stack, n):
     s, rows = stack
     cert = certificate_of(s)
     table, m, zero = cert.add_table, s.size, cert.zero
     target = rows[0]
-    got = _grid_minimum_residual(cert, target, n, SolverConfig(grid_resolution=res))
-    assert got == old_grid_minimum_residual(table, m, zero, target, n, res)
+    got = _grid_minimum_residual(cert, target, n)
+    assert got == old_grid_minimum_residual(table, m, zero, target, n, GRID_RESOLUTION)
     # any stack, not only grid points, scores as under the former loop
     stacked = 0.5 * np.abs(_powers_raw(cert, rows, [n])[0] - target[None, :]).sum(axis=1)
     assert stacked.tobytes() == old_batch_power_residuals(table.ravel(), m, zero, rows, n, target).tobytes()

@@ -194,9 +194,16 @@ def test_verify_associativity_counterexample():
 
 
 def test_verify_requires_xyz_free_variables(c2rel):
-    f = fm.parse_formula("theta(x, y, w)", c2rel)
+    s = FiniteStructure(2, relations=c2rel.relations, semigroup={"formula": "theta(x, y, w)"})
     with pytest.raises(FreeVariableError):
-        fc.verify_semigroup(c2rel, f)
+        fc.verify_semigroup(s)
+
+
+def test_element_index_takes_names_and_integers_only(c2rel):
+    assert c2rel.element_index("1") == c2rel.element_index(np.int64(1)) == c2rel.element_index(1.0) == 1
+    for bad in (1.7, True, None, [1], np.float64(1.5)):
+        with pytest.raises(ModelError):
+            c2rel.element_index(bad)
 
 
 def test_certified_tables_satisfy_laws_exhaustively():
