@@ -51,9 +51,9 @@ SEMIGROUP_VARS = ("x", "y", "z")
 def as_integer(v, what: str) -> int:
     """A Python or NumPy integer, or a float with an integral value; never a
     boolean. The one reading of an integer in a model or measure file."""
-    if type(v) is int or isinstance(v, np.integer):
-        return int(v)
-    if type(v) is float and v.is_integer():
+    if type(v) is int:
+        return v
+    if isinstance(v, np.integer) or (type(v) is float and v.is_integer()):
         return int(v)
     raise ModelError(f"{what} must be an integer, got {v!r}")
 
