@@ -12,6 +12,11 @@ backs infeasibility verdicts.
 The remaining operations realize the compound-Bernoulli approximation of
 the exponential, the extraction of its jump measure, the concentration
 conditions, and a grid-plus-descent fit of a target by an exponential.
+
+Roots and fits share one descent driver, _descents. Its objective(w)
+returns the objective value, the TV residual and a gradient thunk, and the
+descent calls only the thunk of a point it accepted, so the gradient reuses
+that evaluation's work without a cache.
 """
 
 from __future__ import annotations
@@ -141,15 +146,22 @@ def _power_gradient_raw(cert: SemigroupCertificate, w, n, target_w):
     return n * _correlate_raw(cert, prev, full - target_w)
 
 
-def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
+def _residuals(d: np.ndarray) -> tuple[float, float]:
+    """Half the squared L2 norm and the TV norm of a difference of measures."""
+    return 0.5 * float(np.dot(d, d)), 0.5 * math.fsum(np.abs(d).tolist())
+
+
+def _exp_grad_minimize(objective, init, max_iters: int, tol_stop: float):
     """One descent run; returns (best residual, best point).
 
-    j_eval(w) -> (objective, tv residual); g_eval(w) -> gradient. The raw
-    start point is scored before any smoothing so exact fixed points
-    (point masses, the target itself) are kept verbatim.
+    objective(w) -> (objective value, tv residual, gradient thunk). Only the
+    thunk of a point the run moves to is called, so the objective may keep
+    what the gradient needs from its own evaluation. The raw start point is
+    scored before any smoothing so exact fixed points (point masses, the
+    target itself) are kept verbatim.
     """
     w = np.array(init, dtype=np.float64)
-    obj, tv = j_eval(w)
+    obj, tv, grad = objective(w)
     best_tv, best_w = tv, w.copy()
     if tv <= tol_stop:
         return best_tv, best_w
@@ -157,11 +169,11 @@ def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
         # multiplicative updates cannot leave a face; nudge inside
         w = np.maximum(w, 1e-8 / w.size)
         w = w / w.sum()
-        obj, tv = j_eval(w)
+        obj, tv, grad = objective(w)
         if tv < best_tv:
             best_tv, best_w = tv, w.copy()
     step = STEP_INIT
-    g = g_eval(w)
+    g = grad()
     stall = 0
     marker = best_tv
     for _ in range(max_iters):
@@ -169,20 +181,18 @@ def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
         descent = float(np.dot(w, (g - mean_g) ** 2))
         if descent <= 1e-30:
             break
-        accepted = False
         while step >= 1e-18:
             u = -step * g
             u -= u.max()
             w_try = w * np.exp(u)
             w_try /= w_try.sum()
-            obj_try, tv_try = j_eval(w_try)
+            obj_try, tv_try, grad_try = objective(w_try)
             if obj_try <= obj - ARMIJO * step * descent:
-                accepted = True
                 break
             step *= STEP_SHRINK
-        if not accepted:
-            break
-        w, obj = w_try, obj_try
+        else:
+            break  # no step size was accepted
+        w, obj, grad = w_try, obj_try, grad_try
         if tv_try < best_tv:
             best_tv, best_w = tv_try, w_try.copy()
         if tv_try <= tol_stop:
@@ -195,20 +205,25 @@ def _exp_grad_minimize(j_eval, g_eval, init, max_iters: int, tol_stop: float):
             stall += 1
             if stall >= 500:
                 break
-        g = g_eval(w)
+        g = grad()
         step *= STEP_GROWTH
     return best_tv, best_w
 
 
+def _descents(objective, starts, max_iters: int, tol_stop: float):
+    """One descent from every start, as (residual, start index, point) sorted
+    best first; equal residuals go to the earlier start, and the distinct
+    start indices keep the sort from comparing points."""
+    runs = [_exp_grad_minimize(objective, start, max_iters, tol_stop) for start in starts]
+    return sorted((tv, idx, w) for idx, (tv, w) in enumerate(runs))
+
+
 def _power_objective(cert: SemigroupCertificate, target_w: np.ndarray, n: int):
-    def j_eval(w):
+    def objective(w):
         d = _powers_raw(cert, w, [n])[0] - target_w
-        return 0.5 * float(np.dot(d, d)), 0.5 * math.fsum(np.abs(d).tolist())
+        return (*_residuals(d), lambda: _power_gradient_raw(cert, w, n, target_w))
 
-    def g_eval(w):
-        return _power_gradient_raw(cert, w, n, target_w)
-
-    return j_eval, g_eval
+    return objective
 
 
 # --- the exhaustive simplex grid (m <= 3) ----------------------------------
@@ -274,7 +289,6 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
     s = target.structure
     cert = certificate_of(s)
     m = target.size
-    j_eval, g_eval = _power_objective(cert, target.weights, n)
 
     rng = np.random.default_rng(cfg.seed)
     flat_start = uniform(s).weights.copy()
@@ -289,15 +303,11 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
         inits.append(rng.dirichlet(np.ones(m)))
     inits = inits[: cfg.restarts]
 
-    results = []
-    for idx, start in enumerate(inits):
-        tv, w = _exp_grad_minimize(j_eval, g_eval, start, cfg.max_iters, cfg.tol_residual)
-        results.append((idx, tv, w))
-    results.sort(key=lambda r: (r[1], r[0]))
+    runs = _descents(_power_objective(cert, target.weights, n), inits, cfg.max_iters, cfg.tol_residual)
 
     kept: list[Measure] = []
-    for _, tv, w in results:
-        if tv > results[0][1] + cfg.tol_residual:
+    for tv, _, w in runs:
+        if tv > runs[0][0] + cfg.tol_residual:
             break
         candidate = _from_raw(s, w)
         if all(tv_distance(candidate, other) >= DISTINCT_ROOT_TV for other in kept):
@@ -437,27 +447,13 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
 # --- exponential fitting -----------------------------------------------------
 
 def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
-    cache: dict = {}
-
-    def exp_of(w):
-        key = w.tobytes()
-        if cache.get("key") == key:
-            return cache["val"]
+    def objective(w):
         raw = _series_raw(cert, w, [r], tol_exp)[0]
         e = raw / math.fsum(raw.tolist())
-        cache["key"] = key
-        cache["val"] = e
-        return e
+        d = e - target_w
+        return (*_residuals(d), lambda: r * _correlate_raw(cert, e, d))
 
-    def j_eval(w):
-        d = exp_of(w) - target_w
-        return 0.5 * float(np.dot(d, d)), 0.5 * math.fsum(np.abs(d).tolist())
-
-    def g_eval(w):
-        e = exp_of(w)
-        return r * _correlate_raw(cert, e, e - target_w)
-
-    return j_eval, g_eval
+    return objective
 
 
 def _rate_grid(r_max: float) -> list[float]:
@@ -488,13 +484,8 @@ def fit_levy_khintchine(
     uni = uniform(s).weights.copy()
 
     def solve_at(r, inits, iters):
-        j_eval, g_eval = _exp_objective(cert, target.weights, r, tol_exp)
-        best = None
-        for start in inits:
-            tv, w = _exp_grad_minimize(j_eval, g_eval, start, iters, cfg.tol_residual)
-            if best is None or tv < best[0]:
-                best = (tv, w)
-        return best
+        tv, _, w = _descents(_exp_objective(cert, target.weights, r, tol_exp), inits, iters, cfg.tol_residual)[0]
+        return tv, w
 
     best_tv, best_r, best_w = math.inf, 0.0, uni
     warm = uni

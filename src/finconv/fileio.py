@@ -45,16 +45,14 @@ def _section(doc: dict, key: str) -> dict:
 
 def structure_from_dict(doc: dict) -> FiniteStructure:
     universe = doc.get("universe")
-    if type(universe) is int:
-        size = universe
-        names: dict[str, int] | None = None
-    elif isinstance(universe, list):
+    names: dict[str, int] | None = None
+    if isinstance(universe, list):
         size = len(universe)
         names = {str(n): i for i, n in enumerate(universe)}
         if len(names) != size:
             raise ModelError("universe names are not distinct")
     else:
-        raise ModelError('"universe" must be an integer or a list of names')
+        size = as_integer(universe, '"universe", unless a list of names,')
 
     def resolve_nested(node, depth):
         if depth == 0:

@@ -1,7 +1,7 @@
 """First-order formula syntax: AST nodes, parser, and printer.
 
-Concrete grammar (ASCII, quantifiers extend maximally to the right,
-precedence not > and > or > implies):
+Concrete grammar (ASCII operators, quantifiers extend maximally to the
+right, precedence not > and > or > implies):
 
     formula := quant | impl
     quant   := ("forall" | "exists" | "exists!") VAR "." formula
@@ -12,13 +12,16 @@ precedence not > and > or > implies):
     atom    := IDENT "(" term {"," term} ")" | term "=" term
     term    := VAR | IDENT | IDENT "(" term {"," term} ")"
 
-Identifiers are [A-Za-z0-9_]+; names declared as constants or elements of
-the structure resolve to constants before anything is read as a variable,
-and shadowing such a name with a bound variable is a parse error.
+Identifiers are runs of letters, digits and underscores, Unicode ones
+included (each character passes str.isalnum() or is "_"); names declared
+as constants or elements of the structure resolve to constants before
+anything is read as a variable, and shadowing such a name with a bound
+variable is a parse error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ArityError, FormulaSyntaxError, UnknownSymbolError
@@ -168,6 +171,10 @@ _PUNCT = {
     "!": "BANG",
 }
 
+# one match per token or blank; in str patterns \w is str.isalnum() or "_",
+# and \s is str.isspace(), so Unicode letters, digits and spaces count
+_TOKEN = re.compile(r"(?P<NEWLINE>\n)|\s|(?P<ARROW>->)|(?P<IDENT>\w+)|(?P<CHAR>.)", re.DOTALL)
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -179,39 +186,19 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "CHAR":
+            if value not in _PUNCT:
+                raise FormulaSyntaxError(f"unexpected character {value!r}", line, col)
+            tokens.append(_Token(_PUNCT[value], value, line, col))
+        elif kind is not None:
+            tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -67,21 +67,25 @@ class Timeline:
 
 
 def _parsed(convert, value, what: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise TimelineError(f"{what} {value!r} is not a number") from exc
+    """The one reading of a timeline's numbers: a number or its text, never a boolean."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise TimelineError(f"{what} {value!r} is not a number")
 
 
 def make_timeline(kind: str, params) -> Timeline:
     """Build a timeline: uniform_grid(N), rationals(list), or samples(list).
 
-    Ticks may be given as numbers or as their text.
+    N (an integer, or an integral float) and the ticks may be given as text.
     """
     if kind == UNIFORM_GRID:
-        n = _parsed(int, params, "grid size")
-        if n < 1:
-            raise TimelineError("uniform grid needs N >= 1")
+        size = _parsed(Fraction, params, "grid size")
+        if size.denominator != 1 or size < 1:
+            raise TimelineError(f"uniform grid needs an integer N >= 1, got {params!r}")
+        n = int(size)
         return Timeline(UNIFORM_GRID, tuple(Fraction(k, n) for k in range(n + 1)))
     if kind == RATIONALS:
         ticks = {Fraction(0), Fraction(1)}
@@ -143,9 +147,8 @@ def levy_from_root(nu: Measure, n_steps: int) -> LevyPath:
     Every marginal is computed by binary exponentiation over one shared
     set of squares, and is bit-identical to conv_power(nu, k).
     """
-    if n_steps < 1:
-        raise TimelineError("grid needs N >= 1")
     timeline = uniform_grid(n_steps)
+    n_steps = len(timeline) - 1
     marginals = conv_powers(nu, range(n_steps + 1))
     generator = {
         "kind": "root",

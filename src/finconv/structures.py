@@ -30,6 +30,7 @@ guard against an uncertified structure.
 from __future__ import annotations
 
 import hashlib
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def as_integer(v, what: str) -> int:
         return v
     if isinstance(v, np.integer) or (type(v) is float and v.is_integer()):
         return int(v)
-    raise ModelError(f"{what} must be an integer, got {v!r}")
+    raise ModelError(f"{what} must be an integer, got {reprlib.repr(v)}")
 
 
 def element_of(label, names: dict[str, int] | None) -> int:
@@ -64,7 +65,7 @@ def element_of(label, names: dict[str, int] | None) -> int:
     caller's to check."""
     if isinstance(label, str):
         if names is None or label not in names:
-            raise ModelError(f"unknown element name {label!r}")
+            raise ModelError(f"unknown element name {reprlib.repr(label)}")
         return names[label]
     return as_integer(label, "an element")
 
@@ -183,7 +184,7 @@ class FiniteStructure:
         """Resolve an element given as a constant, an element name or an index."""
         idx = element_of(label, {**(self.element_names or {}), **self.constants})
         if not 0 <= idx < self.size:
-            raise ModelError(f"element index {idx} outside universe of size {self.size}")
+            raise ModelError(f"element {reprlib.repr(label)} outside universe of size {self.size}")
         return idx
 
     @property

@@ -9,6 +9,8 @@ import numpy as np
 import finconv as fc
 import finconv.formulas as fm
 from finconv import catalog
+from finconv.errors import FormulaSyntaxError
+from finconv.formulas import _PUNCT, _Token
 
 
 # --- structure zoo -----------------------------------------------------------
@@ -179,3 +181,44 @@ def random_formula(rng, s, free_var="x", max_quant=2, tries=50):
         if fm.free_variables(f) == {free_var}:
             return f
     return fm.EqualityAtom(fm.Var(free_var), fm.Var(free_var))
+
+
+# --- lexer reference ----------------------------------------------------------
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """The character-by-character lexer that formulas._tokenize replaced."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(_Token("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens

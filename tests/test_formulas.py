@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finconv.formulas as fm
 from finconv import catalog
 from finconv.errors import ArityError, FormulaSyntaxError, UnknownSymbolError
-from helpers import certified, random_formula, random_semigroup
+from helpers import certified, random_formula, random_semigroup, reference_tokenize
+
+# formula text plus every class of character the lexer treats specially:
+# tab, CR, VT, FF, NEL, NBSP and a file separator (spaces that are not
+# newlines), a Latin letter, a superscript and an Arabic-Indic digit
+# (Unicode alphanumerics), and characters no token accepts
+LEXER_ALPHABET = "ab_xz09 \n\t\r\x0b\x0c\x85\xa0\x1c\u00e9\u00b2\u0663(),.=&|!->?#"
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +119,16 @@ def test_free_variables_and_depth(rel2):
     f = fm.parse_formula("forall x. exists y. theta(x, y, z) & x = w", rel2)
     assert fm.free_variables(f) == {"z", "w"}
     assert fm.quantifier_depth(f) == 2
+
+
+def _lexed(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+    except FormulaSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=LEXER_ALPHABET, max_size=40))
+def test_tokenize_matches_reference_lexer(text):
+    assert _lexed(fm._tokenize, text) == _lexed(reference_tokenize, text)

@@ -203,11 +203,19 @@ def test_parse_path_csv_rejects_malformed_rows(c2, mangle):
         fc.parse_path_csv("\n".join(head + mangle(rows)) + "\n", c2)
 
 
-def test_timeline_ticks_given_as_text():
+def test_timeline_ticks_given_as_text(c2):
     assert fc.make_timeline("rationals", ["1/2", " 1/3"]).ticks == (0, Fraction(1, 3), Fraction(1, 2), 1)
     assert fc.make_timeline("samples", ["0.5"]).ticks == (0.0, 0.5, 1.0)
+    for n in (4, 4.0, np.int64(4)):
+        path = fc.levy_from_root(fc.dirac(c2, 1), n)
+        assert path.timeline == fc.make_timeline("uniform_grid", 4) and path.generator["N"] == 4
+    # a fractional or boolean N, boolean ticks and an infinite tick are not read as numbers
     for kind, params in [("rationals", ["1/2", "abc"]), ("rationals", ["1/0"]), ("samples", ["x"]),
-                         ("uniform_grid", "abc"), ("uniform_grid", None)]:
+                         ("uniform_grid", "abc"), ("uniform_grid", None), ("uniform_grid", 4.5),
+                         ("uniform_grid", True), ("rationals", [True, "1/2"]), ("samples", [True, 0.5]),
+                         ("rationals", [math.inf]), ("uniform_grid", math.inf)]:
         with pytest.raises(TimelineError):
             fc.make_timeline(kind, params)
+    with pytest.raises(TimelineError):
+        fc.levy_from_root(fc.dirac(c2, 1), 0)
 

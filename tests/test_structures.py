@@ -201,9 +201,11 @@ def test_verify_requires_xyz_free_variables(c2rel):
 
 def test_element_index_takes_names_and_integers_only(c2rel):
     assert c2rel.element_index("1") == c2rel.element_index(np.int64(1)) == c2rel.element_index(1.0) == 1
-    for bad in (1.7, True, None, [1], np.float64(1.5)):
-        with pytest.raises(ModelError):
+    # a label out of range or of the wrong kind is named, shortened, in the message
+    for bad in (1.7, True, None, [1], np.float64(1.5), 1e300, [1] * 1000, "x" * 1000):
+        with pytest.raises(ModelError) as err:
             c2rel.element_index(bad)
+        assert len(str(err.value)) < 120
 
 
 def test_certified_tables_satisfy_laws_exhaustively():
