@@ -22,11 +22,7 @@ def _names(m: int) -> dict[str, int]:
     return {str(i): i for i in range(m)}
 
 
-def from_add_table(
-    table,
-    element_names: dict[str, int] | None = None,
-    relations: dict[str, RelationSymbol] | None = None,
-) -> FiniteStructure:
+def from_add_table(table, relations: dict[str, RelationSymbol] | None = None) -> FiniteStructure:
     """Structure whose semigroup is given directly by an addition table."""
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -37,7 +33,7 @@ def from_add_table(
         functions={"add": FunctionSymbol(2, arr)},
         relations=relations,
         constants={"zero": 0} if (arr[0] == np.arange(m)).all() else {},
-        element_names=element_names if element_names is not None else _names(m),
+        element_names=_names(m),
         semigroup={"function": "add"},
     )
 
@@ -106,4 +102,4 @@ def relabeled(s: FiniteStructure, perm) -> FiniteStructure:
     inv = np.empty_like(p)
     inv[p] = np.arange(p.size)
     new = p[table[inv[:, None], inv[None, :]]]
-    return from_add_table(new, element_names=_names(s.size))
+    return from_add_table(new)

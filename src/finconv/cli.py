@@ -40,9 +40,16 @@ from .measures import conv_exp, conv_power, convolve, measure_of_event
 from .structures import definable_set, verify_semigroup
 
 
+def _write_file(text: str, path) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FinconvError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write(text: str, args) -> None:
     if args.output:
-        Path(args.output).write_text(text)
+        _write_file(text, args.output)
     else:
         sys.stdout.write(text)
 
@@ -199,9 +206,7 @@ def _emit_path(path, args) -> None:
             raise FinconvError("--manifest needs -o so the manifest can point at the CSV")
         manifest_path = Path(args.manifest)
         rel = Path(args.output).name if manifest_path.parent == Path(args.output).parent else args.output
-        manifest_path.write_text(
-            fileio.canonical_json(fileio.path_manifest(path, str(rel)))
-        )
+        _write_file(fileio.canonical_json(fileio.path_manifest(path, str(rel))), manifest_path)
 
 
 def cmd_levy_root(args) -> int:
@@ -339,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="jump measure JSON file")
     p.add_argument("--r", type=float, required=True, help="rate at the right endpoint")
     p.add_argument("--tol", type=float, default=1e-9, help="per-marginal tolerance")
-    p.add_argument("--N", type=int, default=16, help="uniform grid steps (unless --samples/--rationals)")
-    p.add_argument("--samples", default=None, help="comma-separated real ticks in [0,1]")
-    p.add_argument("--rationals", default=None, help="comma-separated rational ticks in [0,1]")
+    timeline = p.add_mutually_exclusive_group()
+    timeline.add_argument("--N", type=int, default=16, help="uniform grid steps (unless --samples/--rationals)")
+    timeline.add_argument("--samples", default=None, help="comma-separated real ticks in [0,1]")
+    timeline.add_argument("--rationals", default=None, help="comma-separated rational ticks in [0,1]")
     p.add_argument("--manifest", default=None, help="also write a manifest JSON here")
 
     p = add("levy-validate", cmd_levy_validate, "re-check a stored path against the process laws")

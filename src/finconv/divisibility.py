@@ -14,9 +14,9 @@ the exponential, the extraction of its jump measure, the concentration
 conditions, and a grid-plus-descent fit of a target by an exponential.
 
 Roots and fits share one descent driver, _descents. Its objective(w)
-returns the objective value, the TV residual and a gradient thunk, and the
-descent calls only the thunk of a point it accepted, so the gradient reuses
-that evaluation's work without a cache.
+returns the value, the TV residual and a gradient thunk; the descent calls
+only the thunk of a point it accepted, which reuses that evaluation's work
+(the (n-1)-th power of a root, the exponential of a fit) without a cache.
 """
 
 from __future__ import annotations
@@ -130,20 +130,13 @@ def power_gradient(nu: Measure, n: int, target: Measure) -> np.ndarray:
 
     The derivative of the power map in direction h is n * (previous power
     convolved with h), so the gradient correlates the (n-1)-th power with
-    the residual through the addition table.
+    the residual through the addition table, as the root descent does.
     """
     if n < 1:
         raise MeasureError("gradient needs n >= 1; the 0-th power is constant")
     if not same_structure(nu.structure, target.structure):
         raise StructureMismatchError("measures live on different structures")
-    return _power_gradient_raw(certificate_of(nu.structure), nu.weights, n, target.weights)
-
-
-def _power_gradient_raw(cert: SemigroupCertificate, w, n, target_w):
-    """power_gradient on raw weights, shared with the descent objective."""
-    prev = _powers_raw(cert, w, [n - 1])[0]
-    full = _convolve_raw(cert, prev, w)
-    return n * _correlate_raw(cert, prev, full - target_w)
+    return _power_objective(certificate_of(nu.structure), target.weights, n)(nu.weights)[2]()
 
 
 def _residuals(d: np.ndarray) -> tuple[float, float]:
@@ -220,8 +213,10 @@ def _descents(objective, starts, max_iters: int, tol_stop: float):
 
 def _power_objective(cert: SemigroupCertificate, target_w: np.ndarray, n: int):
     def objective(w):
-        d = _powers_raw(cert, w, [n])[0] - target_w
-        return (*_residuals(d), lambda: _power_gradient_raw(cert, w, n, target_w))
+        # w^n as w^(n-1) * w, so the gradient thunk reuses w^(n-1) and d
+        prev = _powers_raw(cert, w, [n - 1])[0]
+        d = _convolve_raw(cert, prev, w) - target_w
+        return (*_residuals(d), lambda: n * _correlate_raw(cert, prev, d))
 
     return objective
 
@@ -291,14 +286,11 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
     m = target.size
 
     rng = np.random.default_rng(cfg.seed)
-    flat_start = uniform(s).weights.copy()
-    inits = [target.weights.copy(), dirac(s, cert.zero).weights.copy(), flat_start.copy()]
+    flat_start = uniform(s).weights
+    inits = [target.weights, dirac(s, cert.zero).weights, flat_start]
     # anchored starts: the gradient through a high power is blind to mass at
     # low chain elements until it dominates, so seed one basin per element
-    for a in range(m):
-        anchored = 0.3 * flat_start.copy()
-        anchored[a] += 0.7
-        inits.append(anchored)
+    inits += list(0.3 * flat_start + 0.7 * np.eye(m))
     while len(inits) < cfg.restarts:
         inits.append(rng.dirichlet(np.ones(m)))
     inits = inits[: cfg.restarts]

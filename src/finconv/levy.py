@@ -106,10 +106,6 @@ def make_timeline(kind: str, params) -> Timeline:
     raise TimelineError(f"unknown timeline kind {kind!r}")
 
 
-def uniform_grid(n: int) -> Timeline:
-    return make_timeline(UNIFORM_GRID, n)
-
-
 @dataclass(frozen=True)
 class LevyValidationReport:
     tol: float
@@ -147,7 +143,7 @@ def levy_from_root(nu: Measure, n_steps: int) -> LevyPath:
     Every marginal is computed by binary exponentiation over one shared
     set of squares, and is bit-identical to conv_power(nu, k).
     """
-    timeline = uniform_grid(n_steps)
+    timeline = make_timeline(UNIFORM_GRID, n_steps)
     n_steps = len(timeline) - 1
     marginals = conv_powers(nu, range(n_steps + 1))
     generator = {
@@ -294,7 +290,8 @@ def parse_path_csv(text: str, structure) -> LevyPath:
     Ticks must be finite, strictly increasing from 0 to 1, and each row a
     finite, non-negative weight vector summing to 1 within SUM_TOL;
     anything else raises TimelineError, since validating a path relies on
-    both.
+    both. A structure line naming another size or fingerprint than the
+    given structure's raises StructureMismatchError.
     """
     generator: dict = {}
     ticks: list[float] = []
@@ -310,6 +307,13 @@ def parse_path_csv(text: str, structure) -> LevyPath:
                     generator = json.loads(body[len("generator:"):])
                 except json.JSONDecodeError as exc:
                     raise TimelineError(f"path CSV generator line is not valid JSON: {exc}") from exc
+            elif body.startswith("structure:"):
+                found = dict(f.split("=", 1) for f in body.split() if "=" in f)
+                if found != {"size": str(structure.size), "fingerprint": structure.fingerprint}:
+                    raise StructureMismatchError(
+                        f"path was written on structure {found.get('fingerprint', '?')[:12]}, "
+                        f"not on the model's {structure.fingerprint[:12]}"
+                    )
             continue
         if line.startswith("t,"):
             continue

@@ -322,6 +322,31 @@ def test_malformed_manifest_is_input_error(files, tmp_path, name):
     _assert_input_error(run_cli("levy-validate", c2, str(manifest)))
 
 
+def _c2_path(files, tmp_path):
+    csv = tmp_path / "c2_path.csv"
+    assert run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "2", "-o", str(csv)).returncode == 0
+    return csv
+
+
+MISUSED_COMMANDS = {
+    "unwritable-output": lambda f, t: ["verify", f / "c2.json", "-o", t / "missing" / "out.json"],
+    "unwritable-manifest": lambda f, t: [
+        "levy-root", f / "c2.json", f / "mu.json", "--N", "2", "-o", t / "p.csv", "--manifest", t / "missing" / "p.json",
+    ],
+    "two-timelines": lambda f, t: ["levy-exp", f / "c2.json", f / "d1.json", "--r", "1", "--samples", "0.5", "--rationals", "1/3"],
+    # a path checked on a model other than the one it was built on
+    "path-from-other-model": lambda f, t: ["levy-validate", f / "j2.json", _c2_path(f, t)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISUSED_COMMANDS))
+def test_misused_command_is_input_error(files, tmp_path, name):
+    proc = run_cli(*map(str, MISUSED_COMMANDS[name](files, tmp_path)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+
+
 def test_eval_needs_one_free_variable(files):
     proc = run_cli("eval", str(files / "c2.json"), str(files / "mu.json"), "--formula", "add(x, y) = zero")
     _assert_input_error(proc)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import finconv as fc
-from finconv import catalog
+from finconv import catalog, divisibility
 from finconv.errors import ConcentrationError, FinconvError, MeasureError
+from finconv.structures import certificate_of
 from helpers import (
     certified,
     conditioned_chain_root,
@@ -74,6 +75,28 @@ def test_gradient_gives_descent_direction(j2):
         stepped = nu.weights + eta * direction
         assert (stepped >= 0).all()
         assert j(stepped) < base
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_power_objective_gradient_does_no_power_work(monkeypatch, j3, n):
+    # the thunk reuses the (n-1)-th power and the residual of its evaluation
+    calls = []
+
+    def counted(name, kernel):
+        def wrapped(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return wrapped
+
+    for name in ("_convolve_raw", "_powers_raw"):
+        monkeypatch.setattr(divisibility, name, counted(name, getattr(divisibility, name)))
+    objective = divisibility._power_objective(certificate_of(j3), np.array([0.2, 0.3, 0.5]), n)
+    _, _, grad = objective(np.array([0.5, 0.25, 0.25]))
+    assert calls
+    calls.clear()
+    grad()
+    assert calls == []
 
 
 # --- nth_root --------------------------------------------------------------------

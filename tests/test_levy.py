@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import finconv as fc
-from finconv.errors import TimelineError
+from finconv.errors import StructureMismatchError, TimelineError
 from helpers import iterative_power, random_measure
 
 
@@ -201,6 +201,15 @@ def test_parse_path_csv_rejects_malformed_rows(c2, mangle):
     fc.parse_path_csv("\n".join(head + rows) + "\n", c2)
     with pytest.raises(TimelineError):
         fc.parse_path_csv("\n".join(head + mangle(rows)) + "\n", c2)
+
+
+def test_parse_path_csv_checks_the_structure_line(c2, j2):
+    text = fc.export_path(fc.levy_from_root(fc.measure(c2, [0.9, 0.1]), 4))
+    with pytest.raises(StructureMismatchError, match=f"{c2.fingerprint[:12]}, not on the model's {j2.fingerprint[:12]}$"):
+        fc.parse_path_csv(text, j2)
+    # a CSV without the structure line still loads
+    unlabelled = "\n".join(line for line in text.splitlines() if not line.startswith("# structure:"))
+    assert len(fc.parse_path_csv(unlabelled, j2).marginals) == 5
 
 
 def test_timeline_ticks_given_as_text(c2):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
-from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_gradient_raw
+from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_objective
 from finconv.errors import MeasureError
 from finconv.measures import _convolve_raw, _powers_raw
 from finconv.structures import certificate_of
@@ -299,11 +299,14 @@ def test_power_gradient_keeps_former_formula_bits(stack, n):
     s, rows = stack
     cert = certificate_of(s)
     flat, m, zero = _raw(s)
+
+    def former(w, target):
+        prev = raw_power(flat, m, zero, w, n - 1)
+        full = _convolve(flat, m, prev, w)
+        return n * (prev[:, None] * (full - target)[cert.add_table]).sum(axis=0)
+
     w, target = rows[0], rows[-1]
-    prev = raw_power(flat, m, zero, w, n - 1)
-    full = _convolve(flat, m, prev, w)
-    expected = n * (prev[:, None] * (full - target)[cert.add_table]).sum(axis=0)
-    assert _power_gradient_raw(cert, w, n, target).tobytes() == expected.tobytes()
+    thunk = _power_objective(cert, target, n)(w)[2]
+    assert thunk().tobytes() == former(w, target).tobytes()
     nu, tgt = fc.measure(s, w), fc.measure(s, target)
-    direct = _power_gradient_raw(cert, nu.weights, n, tgt.weights)
-    assert fc.power_gradient(nu, n, tgt).tobytes() == direct.tobytes()
+    assert fc.power_gradient(nu, n, tgt).tobytes() == former(nu.weights, tgt.weights).tobytes()
