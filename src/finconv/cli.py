@@ -259,8 +259,16 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on standard error and exits 2."""
+
+    def error(self, message):
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finconv",
         description="Convolution algebra on finite structures: verify semigroups, convolve, "
         "exponentiate, take roots, and build paths on timelines.",
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no command uses threads")
     common.add_argument("-o", "--output", default=None, help="write primary output here instead of standard output")
 
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_Parser)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     def add(name, handler, help_text):

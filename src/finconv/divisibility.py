@@ -71,6 +71,8 @@ class SolverConfig:
     tol_residual: float = 1e-9
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise MeasureError(f"seed must be non-negative, got {self.seed}")
         if self.restarts < 1:
             raise MeasureError("restarts must be at least 1")
         if self.max_iters < 1:

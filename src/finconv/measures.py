@@ -15,18 +15,29 @@ Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C
 through np.bincount in a fixed order, whose worst-case error m^2 * eps
-stays far inside every tolerance asserted at desk scale.
+stays far inside every tolerance asserted at desk scale. The series
+chain multiplies by the jump measure's operator instead (below): on a
+group its bits are the bincount's, and on other monoids they may differ
+in the last place.
 
 Shared power chains: the series for many rates stores one chain of
 powers mu^(0*), mu^(1*), ..., as long as the largest rate needs, and
-powers for many exponents reuse one set of squares mu^(2^j). Each rate
-sums its own Poisson weights over the head of the chain with the
-compensated accumulator that mixtures use, and each exponent multiplies
-its squares in the same bit order, so every result has the bits of its
-single call; the kernels are deterministic, and a shared intermediate is
-the same array a separate call would have built. The stored chain costs
-O(L * m) memory for the L = r + O(sqrt(r)) terms of the largest rate r:
-869 terms at r = 700 and 293 at r = 200, for tol 1e-9.
+powers for many exponents reuse one set of squares mu^(2^j). Each chain
+step multiplies by mu's right-multiplication operator op[x, z] = sum of
+mu(y) over x + y = z, built once per series with one bincount, so a step
+is an (m,) by (m, m) product rather than an m^2 scatter. On a group each
+cell of op holds a single mu(y), and the product adds a[x] * mu(y) over x
+in the order the bincount does, so the bits are the kernel's; where one
+row sends several y to the same sum (chains, products with a chain) op
+adds those weights before multiplying, which moves a power by at most
+m * eps in total variation. Each rate sums its own Poisson weights over
+the head of the chain with the compensated accumulator that mixtures
+use, and each exponent multiplies its squares in the same bit order, so
+every result has the bits of its single call; the kernels are
+deterministic, and a shared intermediate is the same array a separate
+call would have built. The stored chain costs O(L * m) memory for the
+L = r + O(sqrt(r)) terms of the largest rate r, plus m^2 for op: 869
+terms at r = 700 and 293 at r = 200, for tol 1e-9.
 
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
@@ -204,6 +215,14 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
     return out
 
 
+def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
+    """The (m, m) matrix of right multiplication by w: op[x, z] is the sum of
+    w[y] over x + y = z, so a * w is einsum("x,xz->z", a, op)."""
+    m = w.shape[0]
+    idx = np.arange(m)[:, None] * m + cert.add_table
+    return np.bincount(idx.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
+
+
 def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     # out[y] = sum_x c[x] * g[table[x, y]]
     return (c[:, None] * g[cert.add_table]).sum(axis=0)
@@ -274,16 +293,21 @@ def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
     """Poisson-weighted power series for each rate, one vector per rate.
 
     The chain w^(0*), w^(1*), ... is built once, as long as the longest
-    list of Poisson terms (_poisson_terms) needs. Each rate then sums its
-    own terms over the head of the chain with _compensated_accumulate, the
-    same loop a single rate runs, so it keeps the bits of its single call.
+    list of Poisson terms (_poisson_terms) needs, each power from the last
+    by one product with w's operator (_right_operator), built once per
+    call. On a group the powers carry the bits of _convolve_raw; on other
+    monoids they may differ from it in the last place. Each rate then sums
+    its own terms over the head of the chain with _compensated_accumulate,
+    the same loop a single rate runs, so it keeps the bits of its single
+    call.
     """
     terms = [_poisson_terms(float(r), tol) for r in rates]
     m = w.shape[0]
     chain = [np.zeros(m)]
     chain[0][cert.zero] = 1.0
+    op = _right_operator(cert, w)
     for _ in range(max(map(len, terms), default=1) - 1):
-        chain.append(_convolve_raw(cert, chain[-1], w))
+        chain.append(np.einsum("x,xz->z", chain[-1], op))
     return [_compensated_accumulate(chain, p, m) for p in terms]
 
 

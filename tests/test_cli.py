@@ -336,6 +336,8 @@ MISUSED_COMMANDS = {
     "two-timelines": lambda f, t: ["levy-exp", f / "c2.json", f / "d1.json", "--r", "1", "--samples", "0.5", "--rationals", "1/3"],
     # a path checked on a model other than the one it was built on
     "path-from-other-model": lambda f, t: ["levy-validate", f / "j2.json", _c2_path(f, t)],
+    "unknown-flag": lambda f, t: ["verify", f / "c2.json", "--no-such-flag"],
+    "missing-argument": lambda f, t: ["exp", f / "c2.json", f / "mu.json"],
 }
 
 
@@ -344,7 +346,8 @@ def test_misused_command_is_input_error(files, tmp_path, name):
     proc = run_cli(*map(str, MISUSED_COMMANDS[name](files, tmp_path)))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr.splitlines()[-1]
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
 
 
 def test_eval_needs_one_free_variable(files):
@@ -386,6 +389,10 @@ def test_out_of_range_numbers_are_input_errors(files, tmp_path):
     _assert_input_error(run_cli("root", c2, mu, "--n", "2", "--tol", "inf"))
     levy = ["levy-exp", c2, mu, "--r", "1", "--tol", "inf", "-o", str(tmp_path / "p.csv")]
     _assert_input_error(run_cli(*levy, "--manifest", str(tmp_path / "p.json")))
+    # restart draws need a non-negative seed
+    _assert_input_error(run_cli("root", c2, mu, "--n", "2", "--seed", "-1"))
+    _assert_input_error(run_cli("divisible", c2, mu, "--n-max", "2", "--seed", "-1"))
+    _assert_input_error(run_cli("fit-lk", str(files / "j2.json"), str(files / "quarter.json"), "--seed", "-1"))
 
 
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):

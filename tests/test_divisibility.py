@@ -123,6 +123,18 @@ def test_root_infeasible_on_two_torsion(c2):
     assert cert.residual >= 0.5 - 1e-9
 
 
+# Four of the first 40 cubes conv_power(measure(J3, rng.dirichlet(ones(3))), 3),
+# rng = default_rng(0), are declared infeasible: the grid minimum reported as
+# lower_bound is an upper bound on the least residual, not a lower one.
+@pytest.mark.xfail(strict=True, reason="lower_bound is a grid minimum, not a certified lower bound")
+@pytest.mark.parametrize("draw", [10, 19, 20, 26])
+def test_cube_is_never_declared_infeasible(j3, draw):
+    rng = np.random.default_rng(0)
+    weights = [rng.dirichlet(np.ones(3)) for _ in range(draw + 1)][draw]
+    target = fc.conv_power(fc.measure(j3, weights), 3)
+    assert fc.nth_root(target, 3).verdict != "infeasible_lower_bound"
+
+
 def test_root_certificate_residual_recomputed():
     rng = np.random.default_rng(50)
     s = random_semigroup(rng, max_m=6)
@@ -360,3 +372,5 @@ def test_solver_config_validation():
         fc.SolverConfig(restarts=0)
     with pytest.raises(MeasureError):
         fc.SolverConfig(tol_residual=0.0)
+    with pytest.raises(MeasureError):
+        fc.SolverConfig(seed=-1)
