@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import fileio
 from .divisibility import (
+    FIT_R_MAX,
     SolverConfig,
     VERDICT_EXACT,
     check_concentration,
@@ -253,10 +254,11 @@ def cmd_compare_paths(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for restart draws")
-    p.add_argument("--restarts", type=int, default=16, help="descent restarts")
-    p.add_argument("--max-iters", type=int, default=5000, help="iteration cap per restart")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    d = SolverConfig()
+    p.add_argument("--seed", type=int, default=d.seed, help="seed for restart draws")
+    p.add_argument("--restarts", type=int, default=d.restarts, help="descent restarts")
+    p.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap per restart")
+    p.add_argument("--tol", type=float, default=d.tol_residual, help="residual tolerance")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fit-lk", cmd_fit_lk, "best exponential approximation of a target")
     p.add_argument("measure", help="target measure JSON file")
-    p.add_argument("--r-max", type=float, default=4.0, help="largest rate searched")
+    p.add_argument("--r-max", type=float, default=FIT_R_MAX, help="largest rate searched")
     _add_solver_flags(p)
 
     p = add("bernoulli", cmd_bernoulli, "convergence table of the K-factor approximation")

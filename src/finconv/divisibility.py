@@ -51,6 +51,7 @@ VERDICT_INFEASIBLE = "infeasible_lower_bound"
 GRID_ORACLE_MAX_SIZE = 3
 GRID_RESOLUTION = 64  # grid oracle points per simplex coordinate
 DISTINCT_ROOT_TV = 1e-4
+FIT_R_MAX = 4.0  # largest rate fit_levy_khintchine searches unless told otherwise
 
 # exponentiated-gradient step rule: Armijo backtracking, geometric regrowth
 STEP_INIT = 1.0
@@ -458,7 +459,7 @@ def _rate_grid(r_max: float) -> list[float]:
 
 
 def fit_levy_khintchine(
-    target: Measure, cfg: SolverConfig | None = None, r_max: float = 4.0
+    target: Measure, cfg: SolverConfig | None = None, r_max: float = FIT_R_MAX
 ) -> LevyKhintchineFit:
     """Best exponential approximation of the target: rate on a refined grid
     over [0, r_max], jump measure by simplex descent at each rate.

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .divisibility import (
     ConcentrationReport,
     DivisibilityReport,
@@ -69,11 +67,11 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
     functions = {}
     for sym, spec in _section(doc, "functions").items():
         arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        table = resolve_nested(field(spec, sym, "table"), arity)
         try:
-            table = np.asarray(resolve_nested(field(spec, sym, "table"), arity), dtype=np.int64)
+            functions[sym] = FunctionSymbol(arity, table)  # its one int64 copy of the table
         except OverflowError as exc:
             raise ModelError(f"function {sym!r}: table entry outside the universe") from exc
-        functions[sym] = FunctionSymbol(arity, table)
     relations = {}
     for sym, spec in _section(doc, "relations").items():
         arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")

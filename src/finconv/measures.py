@@ -21,23 +21,27 @@ group its bits are the bincount's, and on other monoids they may differ
 in the last place.
 
 Shared power chains: the series for many rates stores one chain of
-powers mu^(0*), mu^(1*), ..., as long as the largest rate needs, and
-powers for many exponents reuse one set of squares mu^(2^j). Each chain
-step multiplies by mu's right-multiplication operator op[x, z] = sum of
-mu(y) over x + y = z, built once per series with one bincount, so a step
-is an (m,) by (m, m) product rather than an m^2 scatter. On a group each
-cell of op holds a single mu(y), and the product adds a[x] * mu(y) over x
-in the order the bincount does, so the bits are the kernel's; where one
-row sends several y to the same sum (chains, products with a chain) op
-adds those weights before multiplying, which moves a power by at most
-m * eps in total variation. Each rate sums its own Poisson weights over
-the head of the chain with the compensated accumulator that mixtures
-use, and each exponent multiplies its squares in the same bit order, so
-every result has the bits of its single call; the kernels are
-deterministic, and a shared intermediate is the same array a separate
-call would have built. The stored chain costs O(L * m) memory for the
-L = r + O(sqrt(r)) terms of the largest rate r, plus m^2 for op: 869
-terms at r = 700 and 293 at r = 200, for tol 1e-9.
+powers mu^(0*), mu^(1*), ..., as long as the largest rate needs. Powers
+for many exponents, and conv_exp's squarings at large rates, share one
+set of squares mu^(2^j) and one memo of products keyed by low exponent
+bits (_powers_raw); every 32nd square is renormalised against the drift
+of its mass, so exponents below 2^32 and rates up to 2^29 keep their
+bits. Each chain step multiplies by mu's right-multiplication operator
+op[x, z] = sum of mu(y) over x + y = z, built once per series with one
+bincount, so a step is an (m,) by (m, m) product rather than an m^2
+scatter. On a group each cell of op holds a single mu(y), and the
+product adds a[x] * mu(y) over x in the order the bincount does, so the
+bits are the kernel's; where one row sends several y to the same sum
+(chains, products with a chain) op adds those weights before
+multiplying, which moves a power by at most m * eps in total variation.
+Each rate sums its own Poisson weights over the head of the chain with
+the compensated accumulator that mixtures use, and each exponent
+multiplies its squares in the same bit order, so every result has the
+bits of its single call; the kernels are deterministic, and a shared
+intermediate is the same array a separate call would have built. The
+stored chain costs O(L * m) memory for the L = r + O(sqrt(r)) terms of
+the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at r = 700
+and 293 at r = 200.
 
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
@@ -50,6 +54,7 @@ row and keeps its bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,41 +182,32 @@ def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> n
 
 
 def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarray]:
-    """a^(n*) for each n by binary exponentiation over one set of squares.
+    """a^(n*) for each n, by binary exponentiation over one set of squares.
 
-    The squares a^(2^j) are built as far as the largest exponent needs.
-    Each power multiplies the squares of its set bits from the lowest up,
-    and a partial product, fixed by the low bits it covers, is computed
-    once and shared by every exponent with those low bits. A stack a of
-    shape (B, m) gets the powers of every row at once.
+    Each exponent walks its bits from the lowest up, and the product of the
+    squares a^(2^j) of its low set bits is memoised under those bits: the
+    unit under 0, a lone square under its bit, else the shorter prefix's
+    product times the next square. Squares go up to the top bit, and a
+    stack a (B, m) is powered row by row. Every 32nd square is renormalised
+    per row, as squaring squares the mass's rounding drift, (1 + a few
+    ulp)^(2^j), which overflows past j ~ 62; exponents < 2^32 keep their bits.
     """
-    squares = [a]
-    partial: dict[int, np.ndarray] = {}  # low bits -> product of their squares
-    out = []
-    for n in ns:
-        if n == 0:
-            unit = np.zeros_like(a)
-            unit[..., cert.zero] = 1.0
-            out.append(unit)
-            continue
-        result = None
-        j = 0
-        while True:
-            bit = 1 << j
-            if n & bit:
-                if result is None:
-                    result = squares[j]
-                else:
-                    low = n & (2 * bit - 1)
-                    if low not in partial:
-                        partial[low] = _convolve_raw(cert, result, squares[j])
-                    result = partial[low]
-            if n >> (j + 1) == 0:
-                break
-            j += 1
+    squares, products, out = [a], {}, []  # products: low bits -> product of their squares
+    for n in map(operator.index, ns):
+        if n == 0 and 0 not in products:  # the unit, built on demand: descent steps call this
+            products[0] = np.zeros(a.shape)
+            products[0][..., cert.zero] = 1.0
+        low = 0
+        for j in range(n.bit_length()):
             if j == len(squares):
-                squares.append(_convolve_raw(cert, squares[-1], squares[-1]))
-        out.append(result)
+                sq = _convolve_raw(cert, squares[-1], squares[-1])
+                squares.append(sq / sq.sum(axis=-1, keepdims=True) if j % 32 == 0 else sq)
+            if n >> j & 1:
+                prefix = low | 1 << j
+                if prefix not in products:
+                    products[prefix] = _convolve_raw(cert, products[low], squares[j]) if low else squares[j]
+                low = prefix
+        out.append(products[low])
     return out
 
 
@@ -261,12 +257,8 @@ def conv_powers(mu: Measure, ns) -> list[Measure]:
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise MeasureError("convolution power requires n >= 0")
-    cert = certificate_of(mu.structure)
-    todo = sorted({n for n in ns if n != 1})
-    powers = {1: mu}
-    for n, w in zip(todo, _powers_raw(cert, mu.weights, todo)):
-        powers[n] = _from_raw(mu.structure, w)
-    return [powers[n] for n in ns]
+    raw = _powers_raw(certificate_of(mu.structure), mu.weights, ns)
+    return [mu if n == 1 else _from_raw(mu.structure, w) for n, w in zip(ns, raw)]
 
 
 def _poisson_terms(r: float, tol: float) -> list[float]:
@@ -276,13 +268,15 @@ def _poisson_terms(r: float, tol: float) -> list[float]:
     geometric majorant p_(N+1) / (1 - r/(N+2)), drops below tol/2; since
     each power is a probability, the dropped total-variation mass is at
     most half of that, and the closing renormalization at most doubles it.
+    They also stop at a weight that underflows to 0.0, the only stop when
+    tol/2 does too; while tol/2 > 0 the majorant rule fires first.
     """
     p = math.exp(-r)
     terms = [p]
     n = 0
     while True:
         p_next = p * r / (n + 1)
-        if n + 2 > r and p_next / (1.0 - r / (n + 2)) < tol / 2:
+        if p_next == 0.0 or (n + 2 > r and p_next / (1.0 - r / (n + 2)) < tol / 2):
             return terms
         p = p_next
         n += 1
@@ -312,13 +306,11 @@ def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
 
 
 def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
-    halvings = max(0, math.ceil(math.log2(r / 0.25))) if r > 0.25 else 0
-    inner_tol = tol / (2.0 ** (halvings + 1))
-    acc = _series_raw(cert, w, [r / 2.0**halvings], inner_tol)[0]
-    acc = acc / math.fsum(acc.tolist())
-    for _ in range(halvings):
-        acc = _convolve_raw(cert, acc, acc)
-    return acc
+    """exp at rate r > 1/4 as the 2^h-th power (_powers_raw) of exp at r / 2^h in (1/8, 1/4],
+    whose series runs at tol / 2^(h+1) as each squaring doubles the error; ldexp never overflows."""
+    halvings = math.ceil(math.log2(r) + 2)
+    acc = _series_raw(cert, w, [math.ldexp(r, -halvings)], math.ldexp(tol, -halvings - 1))[0]
+    return _powers_raw(cert, acc / math.fsum(acc.tolist()), [1 << halvings])[0]
 
 
 def conv_exp(mu: Measure, r: float, tol: float) -> Measure:

@@ -75,6 +75,11 @@ class FunctionSymbol:
     arity: int
     table: np.ndarray  # int64, shape (m,)*arity, entries in [0, m)
 
+    def __post_init__(self):
+        # the structure's own copy, which its certificate shares; it stays
+        # writeable because np.bincount copies a read-only index on every call
+        object.__setattr__(self, "table", np.array(self.table, dtype=np.int64))
+
 
 @dataclass(frozen=True)
 class RelationSymbol:
@@ -132,10 +137,9 @@ class FiniteStructure:
     def _validate(self) -> None:
         m = self.size
         for name, fn in self.functions.items():
-            table = np.asarray(fn.table)
-            if table.shape != (m,) * fn.arity:
-                raise ModelError(f"function {name!r}: table shape {table.shape} is not (m,)*{fn.arity}")
-            if table.size and (table.min() < 0 or table.max() >= m):
+            if fn.table.shape != (m,) * fn.arity:
+                raise ModelError(f"function {name!r}: table shape {fn.table.shape} is not (m,)*{fn.arity}")
+            if fn.table.size and (fn.table.min() < 0 or fn.table.max() >= m):
                 raise ModelError(f"function {name!r}: table entry outside the universe")
             if fn.arity < 1:
                 raise ModelError(f"function {name!r}: arity must be at least 1")
@@ -195,7 +199,7 @@ class FiniteStructure:
             for name in sorted(self.functions):
                 fn = self.functions[name]
                 h.update(f"f:{name}:{fn.arity}".encode())
-                h.update(np.ascontiguousarray(fn.table, dtype=np.int64).tobytes())
+                h.update(fn.table.tobytes())
             for name in sorted(self.relations):
                 rel = self.relations[name]
                 h.update(f"r:{name}:{rel.arity}".encode())
@@ -554,7 +558,7 @@ def verify_semigroup(s: FiniteStructure) -> SemigroupCertificate:
     cex1 = None
     if by_table:
         _check_budget(m, len(SEMIGROUP_VARS))  # refused as the graph of fn(x, y) = z would be
-        add = np.array(s.functions[s.semigroup_spec["function"]].table, dtype=np.int64)
+        add = s.functions[s.semigroup_spec["function"]].table  # shared with the symbol
     else:
         # read the table off the graph one x-row at a time; only a relation
         # whose sums are not unique needs the whole graph

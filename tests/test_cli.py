@@ -2,9 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SUBCOMMANDS = [
     "verify", "eval", "convolve", "power", "exp", "root", "divisible",
@@ -34,12 +37,13 @@ BROKEN_MODEL = {
 }
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "finconv", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -229,6 +233,35 @@ def test_levy_exp_and_validate(files, tmp_path):
     assert check.returncode == 0
     strict = run_cli("levy-validate", str(files / "c2.json"), str(csv), "--tol", "1e-15")
     assert strict.returncode == 1
+
+
+def test_huge_rates_give_measures(tmp_path):
+    c3, mu = str(GOLDEN / "c3.json"), str(GOLDEN / "c3_mu.json")
+    proc = run_cli("exp", c3, mu, "--r", "1e306")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["weights"] == pytest.approx([1 / 3] * 3, abs=1e-12)
+    csv = tmp_path / "huge.csv"
+    assert run_cli("levy-exp", c3, mu, "--r", "1e20", "--N", "2", "-o", str(csv)).returncode == 0
+    check = run_cli("levy-validate", c3, str(csv))
+    assert check.returncode == 0, check.stdout
+    assert json.loads(check.stdout)["passed"] is True
+
+
+def test_subnormal_tolerance_ends(tmp_path):
+    # the series stopped only below tol/2, which underflows to 0.0 here;
+    # these runs take well under a second, the timeout leaves room for a busy host
+    c3, mu = str(GOLDEN / "c3.json"), str(GOLDEN / "c3_mu.json")
+    for r, tol in (("1", "5e-324"), ("900", "1e-320")):
+        proc = run_cli("exp", c3, mu, "--r", r, "--tol", tol, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(math.fsum(json.loads(proc.stdout)["weights"]) - 1.0) <= 1e-12
+    csv = tmp_path / "subnormal.csv"
+    proc = run_cli("levy-exp", c3, mu, "--r", "1", "--tol", "5e-324", "-o", str(csv), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    rows = [[float(v) for v in line.split(",")[1:]] for line in csv.read_text().splitlines()[3:]]
+    assert len(rows) == 17  # the default grid of 16 steps
+    for row in rows:
+        assert abs(math.fsum(row) - 1.0) <= 1e-12
 
 
 def _assert_input_error(proc):

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import product as iproduct
 
 import numpy as np
@@ -241,6 +242,19 @@ def test_conv_exp_squaring_matches_series(z8):
         a = _series_raw(cert, mu.weights, [r], 1e-10)[0]
         b = _squaring_raw(cert, mu.weights, r, 1e-10)
         assert fc.tv_distance(fc.measure(z8, a), fc.measure(z8, b)) <= 2e-10
+
+
+@pytest.mark.parametrize("kind, m", [("cyclic", 2), ("cyclic", 3), ("chain", 3), ("cyclic", 256)])
+def test_huge_powers_and_rates_reach_the_limit(kind, m):
+    # a square also squares its mass's rounding drift; unchecked, that drift
+    # overflowed to NaN past 2^62 squarings or so
+    s = certified(catalog.cyclic_group(m) if kind == "cyclic" else catalog.chain_semilattice(m))
+    mu = fc.measure(s, np.random.default_rng(m).dirichlet(np.ones(m)))
+    limit = np.full(m, 1.0 / m) if kind == "cyclic" else fc.dirac(s, m - 1).weights
+    for n in (2**64 - 1, 2**70 - 1, 2**4000 - 1):
+        assert fc.conv_power(mu, n).weights == pytest.approx(limit, abs=1e-12)
+    for r in (1e20, 1e300, sys.float_info.max):
+        assert fc.conv_exp(mu, r, 1e-9).weights == pytest.approx(limit, abs=1e-12)
 
 
 def test_conv_exp_character_transform_oracle():

@@ -206,6 +206,29 @@ def test_exponential_path_every_marginal_bit_identical(nu, r, n_steps):
         assert mu.weights.tobytes() == fc.conv_exp(nu, float(t) * r, 1e-9).weights.tobytes()
 
 
+def test_power_layer_work_is_pinned(monkeypatch):
+    """_convolve_raw calls on Z16: the powers 0..64 of a root path share 6
+    squares and 57 products, validating that path takes 1,305, conv_power
+    (., 1023) 9 squares and 9 products, conv_powers(., [3, 5, 7, 1024,
+    4099]) 12 squares and 4 products, and conv_exp at r = 900 squares 12
+    times."""
+    nu = fc.measure(_monoid("cyclic", 16, 0, -1), np.random.default_rng(1).dirichlet(np.ones(16)))
+    calls = []
+    monkeypatch.setattr("finconv.measures._convolve_raw", lambda *args: calls.append(1) or _convolve_raw(*args))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    path = fc.levy_from_root(nu, 64)
+    assert len(calls) == 63
+    assert count(lambda: fc.validate_levy(path, 1e-9)) == 1305
+    assert count(lambda: fc.conv_power(nu, 1023)) == 18
+    assert count(lambda: fc.conv_powers(nu, [3, 5, 7, 1024, 4099])) == 16
+    assert count(lambda: fc.conv_exp(nu, 900.0, 1e-9)) == 12
+
+
 def test_empty_and_invalid_requests(z8):
     mu = fc.uniform(z8)
     assert fc.conv_exps(mu, [], 1e-9) == []

@@ -307,6 +307,16 @@ def test_function_table_semigroup_synthesis():
     assert cert.passed and cert.zero == 0
 
 
+def test_certificate_shares_the_declared_table():
+    # the symbol holds the structure's one int64 copy, and the certificate reads it
+    given = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    s = catalog.from_add_table(given)
+    cert = fc.verify_semigroup(s)
+    assert np.shares_memory(cert.add_table, s.functions["add"].table)
+    given[0, 0] = 1  # the caller's array stays its own
+    assert cert.add_table[0, 0] == 0
+
+
 def test_model_validation_rejects_bad_tables():
     with pytest.raises(ModelError):
         catalog.from_add_table([[0, 2], [1, 0]])
