@@ -11,6 +11,7 @@ flags, and seed produce byte-identical output. No command uses threads;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -205,9 +206,10 @@ def _emit_path(path, args) -> None:
     if args.manifest:
         if not args.output:
             raise FinconvError("--manifest needs -o so the manifest can point at the CSV")
-        manifest_path = Path(args.manifest)
-        rel = Path(args.output).name if manifest_path.parent == Path(args.output).parent else args.output
-        _write_file(fileio.canonical_json(fileio.path_manifest(path, str(rel))), manifest_path)
+        # relative to the manifest's directory, which fileio.load_path joins it
+        # to before resolving: between resolved paths, ".." follows no symlink
+        rel = os.path.relpath(Path(args.output).resolve(), Path(args.manifest).parent.resolve())
+        _write_file(fileio.canonical_json(fileio.path_manifest(path, rel)), args.manifest)
 
 
 def cmd_levy_root(args) -> int:

@@ -1,4 +1,9 @@
-"""JSON/CSV interchange for models, measures, certificates, and paths."""
+"""JSON/CSV interchange for models, measures, certificates, and paths.
+
+Every input file goes through one reader: `_read` turns an unreadable file
+or bytes that are not UTF-8 into ModelError("cannot read ..."), and levy's
+`_decode_json` turns any failure of json.loads into "... is not valid JSON".
+"""
 
 from __future__ import annotations
 
@@ -19,12 +24,22 @@ from .levy import (
     LevyPath,
     LevyValidationReport,
     Timeline,
+    _decode_json,
     make_timeline,
     parse_path_csv,
     same_ticks,
 )
 from .measures import Measure, dirac, measure
-from .structures import FiniteStructure, FunctionSymbol, RelationSymbol, SemigroupCertificate, as_integer, element_of
+from .structures import (
+    FiniteStructure, FunctionSymbol, RelationSymbol, SemigroupCertificate, as_integer, element_of, symbol_arity,
+)
+
+
+def _read(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"cannot read {what}: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -66,7 +81,7 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
 
     functions = {}
     for sym, spec in _section(doc, "functions").items():
-        arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        arity = symbol_arity(field(spec, sym, "arity"), f"arity of {sym!r}")
         table = resolve_nested(field(spec, sym, "table"), arity)
         try:
             functions[sym] = FunctionSymbol(arity, table)  # its one int64 copy of the table
@@ -74,7 +89,7 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
             raise ModelError(f"function {sym!r}: table entry outside the universe") from exc
     relations = {}
     for sym, spec in _section(doc, "relations").items():
-        arity = as_integer(field(spec, sym, "arity"), f"arity of {sym!r}")
+        arity = symbol_arity(field(spec, sym, "arity"), f"arity of {sym!r}")
         rows = field(spec, sym, "tuples")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ModelError(f"tuples of {sym!r} must be a list of lists")
@@ -94,12 +109,7 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
 
 
 def load_model(path) -> FiniteStructure:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ModelError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file is not valid JSON: {exc}") from exc
+    doc = _decode_json(_read(path, "model file"), "model file", ModelError)
     if not isinstance(doc, dict):
         raise ModelError("model file must hold a JSON object")
     return structure_from_dict(doc)
@@ -121,13 +131,7 @@ def measure_from_dict(doc: dict, structure: FiniteStructure) -> Measure:
 
 
 def load_measure(path, structure: FiniteStructure) -> Measure:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ModelError(f"cannot read measure file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"measure file is not valid JSON: {exc}") from exc
-    return measure_from_dict(doc, structure)
+    return measure_from_dict(_decode_json(_read(path, "measure file"), "measure file", ModelError), structure)
 
 
 def measure_to_dict(mu: Measure) -> dict:
@@ -259,25 +263,16 @@ def path_manifest(path: LevyPath, csv_relpath: str) -> dict:
 def load_path(path, structure: FiniteStructure) -> LevyPath:
     """Load a path from an export CSV, or from a manifest JSON pointing at one."""
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ModelError(f"cannot read path file: {exc}") from exc
-    if p.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("csv"), str) or "timeline" not in doc:
-            raise ModelError('manifest needs a "csv" path string and a "timeline" field')
-        csv_file = (p.parent / doc["csv"]).resolve()
-        try:
-            csv_text = csv_file.read_text()
-        except OSError as exc:
-            raise ModelError(f"cannot read path CSV {csv_file}: {exc}") from exc
-        loaded = parse_path_csv(csv_text, structure)
-        timeline = timeline_from_dict(doc["timeline"])
-        if not same_ticks(timeline, loaded.timeline):
-            raise ModelError("manifest timeline does not match the CSV ticks")
-        return LevyPath(timeline, loaded.marginals, doc.get("generator") or loaded.generator)
-    return parse_path_csv(text, structure)
+    text = _read(p, "path file")
+    if p.suffix.lower() != ".json":
+        return parse_path_csv(text, structure)
+    doc = _decode_json(text, "manifest", ModelError)
+    csv = doc.get("csv") if isinstance(doc, dict) else None
+    if not isinstance(csv, str) or "\0" in csv or "timeline" not in doc:
+        raise ModelError('manifest needs a "csv" path string and a "timeline" field')
+    csv_file = (p.parent / csv).resolve()  # relative to the manifest's directory, as cli writes it
+    loaded = parse_path_csv(_read(csv_file, f"path CSV {csv_file}"), structure)
+    timeline = timeline_from_dict(doc["timeline"])
+    if not same_ticks(timeline, loaded.timeline):
+        raise ModelError("manifest timeline does not match the CSV ticks")
+    return LevyPath(timeline, loaded.marginals, doc.get("generator") or loaded.generator)

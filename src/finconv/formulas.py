@@ -17,6 +17,11 @@ included (each character passes str.isalnum() or is "_"); names declared
 as constants or elements of the structure resolve to constants before
 anything is read as a variable, and shadowing such a name with a bound
 variable is a parse error.
+
+A formula may nest at most MAX_NESTING levels: brackets, negations,
+quantifier bodies, right sides of "->" and argument lists while parsing,
+and the height of the finished syntax tree, so that neither the parser nor
+the recursive walks over the tree can run out of Python stack.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from .errors import ArityError, FormulaSyntaxError, UnknownSymbolError
 
 KEYWORDS = frozenset({"forall", "exists"})
+MAX_NESTING = 100
 
 
 # --- AST ---------------------------------------------------------------
@@ -147,6 +153,18 @@ def free_variables(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
+def _height(node) -> int:
+    """Levels of node's syntax tree, terms included, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        for value in vars(node).values():
+            stack.extend((c, level + 1) for c in (value if isinstance(value, tuple) else (value,))
+                         if isinstance(c, (Formula, Term)))
+    return height
+
+
 def quantifier_depth(f: Formula) -> int:
     """Maximum nesting depth of quantifiers (drives the evaluation budget)."""
     if isinstance(f, QUANTIFIERS):
@@ -216,6 +234,7 @@ class _Parser:
         self.pos = 0
         self.sig = signature
         self.bound: list[str] = []
+        self.depth = 0  # levels open on the parser's stack
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -232,11 +251,25 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}, got {got!r}", tok.line, tok.column)
         return self.next()
 
+    def too_deep(self, tok: _Token) -> FormulaSyntaxError:
+        return FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
+
+    def nested(self, tok: _Token, production):
+        """production(), parsed one level deeper than tok."""
+        if self.depth == MAX_NESTING:
+            raise self.too_deep(tok)
+        self.depth += 1
+        result = production()
+        self.depth -= 1
+        return result
+
     def parse(self) -> Formula:
         f = self.formula()
         tok = self.peek()
         if tok.kind != "EOF":
             raise FormulaSyntaxError(f"unexpected input {tok.value!r} after formula", tok.line, tok.column)
+        if _height(f) > MAX_NESTING:  # long chains of "&" or "|" nest to the left
+            raise self.too_deep(self.tokens[0])
         return f
 
     def formula(self) -> Formula:
@@ -263,9 +296,9 @@ class _Parser:
             raise FormulaSyntaxError(
                 f"bound variable {name!r} shadows a declared symbol", var_tok.line, var_tok.column
             )
-        self.expect("DOT", "'.' after the bound variable")
+        dot = self.expect("DOT", "'.' after the bound variable")
         self.bound.append(name)
-        body = self.formula()
+        body = self.nested(dot, self.formula)
         self.bound.pop()
         if kw.value == "forall":
             return Forall(name, body)
@@ -274,8 +307,7 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek().kind == "ARROW":
-            self.next()
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.next(), self.implication))
         return left
 
     def disjunction(self) -> Formula:
@@ -296,10 +328,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "BANG":
             self.next()
-            return Not(self.negation())
+            return Not(self.nested(tok, self.negation))
         if tok.kind == "LPAREN":
             self.next()
-            f = self.formula()
+            f = self.nested(tok, self.formula)
             self.expect("RPAREN", "')'")
             return f
         return self.atom()
@@ -323,7 +355,9 @@ class _Parser:
         return EqualityAtom(left, right)
 
     def arguments(self) -> tuple[Term, ...]:
-        self.expect("LPAREN", "'('")
+        return self.nested(self.expect("LPAREN", "'('"), self.argument_list)
+
+    def argument_list(self) -> tuple[Term, ...]:
         args = [self.term()]
         while self.peek().kind == "COMMA":
             self.next()

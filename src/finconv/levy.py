@@ -42,8 +42,8 @@ class Timeline:
     """Sorted ticks in [0, 1] including both endpoints.
 
     Ticks are exact fractions for uniform grids and rational timelines,
-    floats for sampled ones; tick sums are matched exactly in the rational
-    case and within an absolute tolerance in the sampled case.
+    floats for sampled ones; tick sums and multiples are matched exactly in
+    the rational case and within TICK_MATCH_TOL in the sampled case.
     """
 
     kind: str
@@ -61,6 +61,14 @@ class Timeline:
                 return i
             return None
         return self._positions.get(value)
+
+    def ratio(self, t, u) -> int | None:
+        """t / u as an integer n >= 2, or None; also None where t / u overflows a float."""
+        if u <= 0 or t / u == math.inf:
+            return None
+        n = round(t / u)
+        slack = TICK_MATCH_TOL if self.kind == SAMPLES else 0
+        return n if n >= 2 and abs(t - n * u) <= slack else None
 
     def __len__(self):
         return len(self.ticks)
@@ -171,24 +179,6 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
     return LevyPath(timeline, tuple(marginals), generator)
 
 
-def _tick_ratio(t, u, kind) -> int | None:
-    """t / u as an integer >= 2, or None."""
-    if kind == SAMPLES:
-        if u <= 0:
-            return None
-        ratio = t / u
-        n = round(ratio)
-        if n >= 2 and abs(t - n * u) <= TICK_MATCH_TOL:
-            return int(n)
-        return None
-    if u == 0:
-        return None
-    ratio = t / u
-    if ratio.denominator == 1 and ratio.numerator >= 2:
-        return int(ratio)
-    return None
-
-
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
@@ -215,7 +205,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
 
     worst_div, div_at, div_checked = 0.0, None, 0
     for i in range(len(ticks)):
-        ratios = [(j, _tick_ratio(ticks[j], ticks[i], path.timeline.kind)) for j in range(i + 1, len(ticks))]
+        ratios = [(j, path.timeline.ratio(ticks[j], ticks[i])) for j in range(i + 1, len(ticks))]
         ratios = [(j, n) for j, n in ratios if n is not None]
         powers = conv_powers(marg[i], [n for _, n in ratios])
         for (j, n), powered in zip(ratios, powers):
@@ -240,7 +230,7 @@ def restrict_path(path: LevyPath, timeline: Timeline) -> LevyPath:
     """The same process seen on a sub-timeline of the original ticks."""
     picked = []
     for t in timeline.ticks:
-        k = path.timeline.locate(t if path.timeline.kind != SAMPLES else float(t))
+        k = path.timeline.locate(t)
         if k is None:
             raise TimelineError(f"tick {t} is not a tick of the original path")
         picked.append(path.marginals[k])
@@ -269,6 +259,21 @@ def compare_paths(a: LevyPath, b: LevyPath) -> tuple[float, float | None]:
 
 
 # --- CSV interchange --------------------------------------------------------
+
+def _decode_json(text: str, what: str, error: type[Exception]):
+    """The one decoding of JSON input, for the path CSV's generator line and
+    for every file the fileio module reads: a failure of json.loads raises
+    error("{what} is not valid JSON: ..."), an integer past the digit limit
+    of int() and nesting past the Python stack included."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} is not valid JSON: nested too deeply to decode") from exc
+    except ValueError as exc:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise error(f"{what} is not valid JSON: an integer has too many digits") from exc
+
 
 def export_path(path: LevyPath) -> str:
     """CSV with one row per tick, weights at 17 significant digits."""
@@ -303,10 +308,7 @@ def parse_path_csv(text: str, structure) -> LevyPath:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("generator:"):
-                try:
-                    generator = json.loads(body[len("generator:"):])
-                except json.JSONDecodeError as exc:
-                    raise TimelineError(f"path CSV generator line is not valid JSON: {exc}") from exc
+                generator = _decode_json(body[len("generator:"):], "path CSV generator line", TimelineError)
             elif body.startswith("structure:"):
                 found = dict(f.split("=", 1) for f in body.split() if "=" in f)
                 if found != {"size": str(structure.size), "fingerprint": structure.fingerprint}:

@@ -171,7 +171,7 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 
 def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b for one vector (m,) or row by row for a stack (B, m)."""
-    flat = cert.add_table.ravel()
+    flat = cert._flat
     m = a.shape[-1]
     if a.ndim == 1:
         return np.bincount(flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)

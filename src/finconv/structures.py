@@ -44,6 +44,7 @@ from .errors import (
 )
 
 EVAL_BUDGET = 10**8
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's limit on array dimensions
 RELATIONAL_ASSOC_BUDGET = 10**11  # m**5 steps of the associativity scan when sums are not unique
 
 SEMIGROUP_VARS = ("x", "y", "z")
@@ -59,6 +60,15 @@ def as_integer(v, what: str) -> int:
     raise ModelError(f"{what} must be an integer, got {reprlib.repr(v)}")
 
 
+def symbol_arity(v, what: str) -> int:
+    """An arity read as an integer (as_integer) and refused past MAX_AXES,
+    before any table or tuple of that many axes is built."""
+    arity = as_integer(v, what)
+    if arity > MAX_AXES:
+        raise ModelError(f"{what} is {arity}, past numpy's limit of {MAX_AXES} array axes")
+    return arity
+
+
 def element_of(label, names: dict[str, int] | None) -> int:
     """An element given as one of `names` or as an integer (as_integer), the
     one reading of an element in a model or measure file; the range is the
@@ -70,15 +80,21 @@ def element_of(label, names: dict[str, int] | None) -> int:
     return as_integer(label, "an element")
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    view = table.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class FunctionSymbol:
     arity: int
-    table: np.ndarray  # int64, shape (m,)*arity, entries in [0, m)
+    table: np.ndarray  # int64, shape (m,)*arity, entries in [0, m); read-only
 
     def __post_init__(self):
-        # the structure's own copy, which its certificate shares; it stays
-        # writeable because np.bincount copies a read-only index on every call
-        object.__setattr__(self, "table", np.array(self.table, dtype=np.int64))
+        # a read-only view of the structure's own copy; only a certificate
+        # takes the writeable array under it (table.base), for its kernels
+        object.__setattr__(self, "table", _read_only(np.array(self.table, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -301,6 +317,8 @@ def _eval_node(f, s: FiniteStructure, bind: dict, shape: tuple[int, ...]):
 def _check_budget(m: int, axes: int) -> None:
     if axes > 0 and m**axes > EVAL_BUDGET:
         raise BudgetExceededError(f"enumeration cost m**{axes} = {m}**{axes} exceeds budget {EVAL_BUDGET}")
+    if axes > MAX_AXES:  # reached only at m = 1, where every power is within the budget
+        raise BudgetExceededError(f"enumeration over {axes} axes exceeds numpy's limit of {MAX_AXES} array axes")
 
 
 def _region_setup(s: FiniteStructure, f: fm.Formula, grid_vars, env) -> tuple[dict, int]:
@@ -398,11 +416,21 @@ class SemigroupCertificate:
     add_table is present whenever sums are unique; zero whenever a neutral
     element exists (verified unique when the other axioms hold). The first
     counterexample in lexicographic scan order is recorded per failed axiom.
+
+    add_table becomes a read-only view of the array it is given. The
+    convolution kernels alone read that array through `_flat`, a writeable
+    flat view of the same memory, since np.bincount copies a read-only
+    index on every call.
     """
 
     add_table: np.ndarray | None
     zero: int | None
     axioms: tuple[AxiomCheck, AxiomCheck, AxiomCheck, AxiomCheck]
+
+    def __post_init__(self):
+        if self.add_table is not None:
+            object.__setattr__(self, "_flat", self.add_table.ravel())
+            object.__setattr__(self, "add_table", _read_only(self.add_table))
 
     @property
     def passed(self) -> bool:
@@ -558,7 +586,7 @@ def verify_semigroup(s: FiniteStructure) -> SemigroupCertificate:
     cex1 = None
     if by_table:
         _check_budget(m, len(SEMIGROUP_VARS))  # refused as the graph of fn(x, y) = z would be
-        add = s.functions[s.semigroup_spec["function"]].table  # shared with the symbol
+        add = s.functions[s.semigroup_spec["function"]].table.base  # the writeable array under the symbol's view
     else:
         # read the table off the graph one x-row at a time; only a relation
         # whose sums are not unique needs the whole graph

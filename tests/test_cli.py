@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,30 @@ def test_levy_root_manifest_and_validate(files, tmp_path):
     assert via_csv.returncode == 0
 
 
+def test_manifest_in_another_directory_points_at_the_csv(files, tmp_path):
+    # -o out/p.csv --manifest man/p.json, as paths relative to the working directory
+    (tmp_path / "out").mkdir()
+    (tmp_path / "man").mkdir()
+    csv, manifest = os.path.relpath(tmp_path / "out" / "p.csv"), os.path.relpath(tmp_path / "man" / "p.json")
+    proc = run_cli(
+        "levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "4", "-o", csv, "--manifest", manifest,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # relative to the manifest's directory, the one levy-validate reads it against
+    assert json.loads((tmp_path / "man" / "p.json").read_text())["csv"] == "../out/p.csv"
+    check = run_cli("levy-validate", str(files / "c2.json"), manifest, "--tol", "1e-12")
+    assert check.returncode == 0, check.stderr
+    assert json.loads(check.stdout)["passed"]
+    # a manifest directory that is a symlink to a directory at another depth
+    (tmp_path / "real" / "deep").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "deep")
+    linked = os.path.relpath(tmp_path / "link" / "p.json")
+    proc = run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "4", "-o", csv, "--manifest", linked)
+    assert proc.returncode == 0, proc.stderr
+    check = run_cli("levy-validate", str(files / "c2.json"), linked, "--tol", "1e-12")
+    assert check.returncode == 0, check.stderr
+
+
 def test_levy_exp_and_validate(files, tmp_path):
     csv = tmp_path / "epath.csv"
     proc = run_cli(
@@ -302,6 +327,13 @@ MALFORMED_MODELS = {
     "huge-float-entry": _add_with(table=[[0, 1e300], [1, 0]]),
     # 1000**4 cells: the dense table must be refused before it is allocated
     "relation-over-budget": {"universe": 1000, "relations": {"r": {"arity": 4, "tuples": []}}},
+    # past numpy's dimension limit: on one element every table is within the budget,
+    # and a tuple of 10**17 entries must not be built
+    "function-arity-70": {
+        "universe": 1, "functions": {"f": {"arity": 70, "table": json.loads("[" * 70 + "0" + "]" * 70)}},
+    },
+    "relation-arity-70": {"universe": 1, "relations": {"r": {"arity": 70, "tuples": []}}},
+    "relation-arity-1e17": {"universe": 1, "relations": {"r": {"arity": 1e17, "tuples": []}}},
 }
 
 
@@ -310,6 +342,94 @@ def test_malformed_model_is_input_error(tmp_path, name):
     model = tmp_path / f"{name}.json"
     model.write_text(json.dumps(MALFORMED_MODELS[name]))
     _assert_input_error(run_cli("verify", str(model)))
+
+
+DEEP_JSON = "[" * 5000 + "]" * 5000  # raw text: json.dumps recurses as deep as the value
+LONG_INTEGER = "1" + "0" * 4999  # past the 4300 digits int() reads from text
+
+# inputs that json.dumps cannot write, given as the raw file contents
+RAW_MODELS = {
+    "not-utf8": b'{"universe": 2}\xff',
+    "long-integer": f'{{"universe": {LONG_INTEGER}}}',
+    "deep-json": f'{{"universe": {DEEP_JSON}}}',
+}
+RAW_MEASURES = {
+    "not-utf8": b'{"weights": [0.5, 0.5]}\xff',
+    "long-integer": f'{{"point": {LONG_INTEGER}}}',
+    "deep-json": f'{{"weights": {DEEP_JSON}}}',
+}
+
+
+def _write_raw(path, raw):
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(RAW_MODELS))
+def test_undecodable_model_is_input_error(tmp_path, name):
+    proc = run_cli("verify", _write_raw(tmp_path / "model.json", RAW_MODELS[name]))
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 120, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(RAW_MEASURES))
+def test_undecodable_measure_is_input_error(files, tmp_path, name):
+    proc = run_cli("power", str(files / "c2.json"), _write_raw(tmp_path / "mu.json", RAW_MEASURES[name]), "--n", "1")
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 120, proc.stderr
+
+
+def test_undecodable_path_files_are_input_errors(files, tmp_path):
+    c2 = str(files / "c2.json")
+    csv = _c2_path(files, tmp_path)
+    manifest = {"csv": csv.name, "timeline": {"kind": "uniform_grid", "N": 2}}
+    head, body = csv.read_text().split("\n", 1)
+    assert head.startswith("# generator:")
+    raws = {
+        "csv-not-utf8.csv": csv.read_bytes() + b"\xff",
+        "manifest-not-utf8.json": json.dumps(manifest).encode() + b"\xff",
+        "manifest-deep-json.json": json.dumps(manifest)[:-1] + f', "generator": {DEEP_JSON}}}',
+        "generator-deep-json.csv": f"# generator: {DEEP_JSON}\n{body}",
+    }
+    for name, raw in raws.items():
+        proc = run_cli("levy-validate", c2, _write_raw(tmp_path / name, raw))
+        _assert_input_error(proc)
+        assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
+    # the CSV a manifest names
+    _write_raw(tmp_path / "bad.csv", csv.read_bytes() + b"\xff")
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({**manifest, "csv": "bad.csv"}))
+    proc = run_cli("levy-validate", c2, str(named))
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and "cannot read path CSV" in proc.stderr, proc.stderr
+
+
+DEEP_FORMULAS = {
+    "70-quantifiers": "".join(f"forall v{i}. " for i in range(70)) + "x = x",
+    "200-brackets": "(" * 200 + "x = x" + ")" * 200,
+    "1000-brackets": "(" * 1000 + "x = x" + ")" * 1000,
+    "1000-negations": "!" * 1000 + "x = x",
+    "1000-implications": " -> ".join(["x = x"] * 1000),
+    "1000-conjunctions": " & ".join(["x = x"] * 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FORMULAS))
+def test_deeply_nested_formula_is_input_error(tmp_path, name):
+    # on a one-element universe every enumeration is within the budget
+    one = {"universe": 1, "functions": {"add": {"arity": 2, "table": [[0]]}}, "semigroup": {"function": "add"}}
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps(one))
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"weights": [1.0]}))
+    proc = run_cli("eval", str(model), str(mu), "--formula", DEEP_FORMULAS[name])
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 120, proc.stderr
+    semigroup = f"({DEEP_FORMULAS[name]}) & add(x, y) = z"
+    model.write_text(json.dumps({**one, "semigroup": {"formula": semigroup}}))
+    proc = run_cli("verify", str(model))
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 120, proc.stderr
 
 
 MALFORMED_MEASURES = {
@@ -341,6 +461,7 @@ MALFORMED_MANIFESTS = {
     "boolean-tick": {"csv": "grid2.csv", "timeline": {"kind": "rationals", "ticks": [True, "1/2"]}},
     "boolean-sample": {"csv": "grid2.csv", "timeline": {"kind": "samples", "ticks": [True, 0.5]}},
     "infinite-tick": {"csv": "grid2.csv", "timeline": {"kind": "rationals", "ticks": [math.inf]}},
+    "csv-with-nul": {"csv": "grid2\u0000.csv", "timeline": {"kind": "uniform_grid", "N": 2}},
 }
 
 

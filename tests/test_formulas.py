@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import finconv.formulas as fm
 from finconv import catalog
 from finconv.errors import ArityError, FormulaSyntaxError, UnknownSymbolError
+from finconv.structures import FiniteStructure, FunctionSymbol
 from helpers import certified, random_formula, random_semigroup, reference_tokenize
 
 # formula text plus every class of character the lexer treats specially:
@@ -91,6 +92,31 @@ def test_relation_as_term_rejected(rel2):
 def test_keyword_not_a_term(rel2):
     with pytest.raises(FormulaSyntaxError):
         fm.parse_formula("forall = x", rel2)
+
+
+DEEP_FORMULAS = {
+    "200-brackets": "(" * 200 + "x = y" + ")" * 200,
+    "1000-negations": "!" * 1000 + "x = y",
+    "1000-implications": " -> ".join(["x = y"] * 1000),
+    "1000-disjunctions": " | ".join(["x = y"] * 1000),
+    "1000-quantifiers": "".join(f"exists v{i}. " for i in range(1000)) + "x = y",
+    "1000-function-applications": "f(" * 1000 + "x" + ")" * 1000 + " = y",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FORMULAS))
+def test_deep_nesting_is_a_syntax_error(name):
+    s = FiniteStructure(2, functions={"f": FunctionSymbol(1, [1, 0])})
+    with pytest.raises(FormulaSyntaxError, match=f"deeper than {fm.MAX_NESTING} levels"):
+        fm.parse_formula(DEEP_FORMULAS[name], s)
+
+
+def test_nesting_up_to_the_limit_parses(rel2):
+    # a bracket adds a level on the parser's stack, a node one to the tree's height
+    n = fm.MAX_NESTING - 1
+    assert fm.parse_formula("(" * n + "x = y" + ")" * n, rel2) == fm.EqualityAtom(fm.Var("x"), fm.Var("y"))
+    f = fm.parse_formula(" & ".join(["x = y"] * n), rel2)
+    assert fm.pretty_print(f) == " & ".join(["x = y"] * n)
 
 
 def test_pretty_print_round_trip_handwritten(rel2):

@@ -119,6 +119,19 @@ def test_validate_locates_corruption(c2):
     assert abs(s + t - 10 / 16) <= 1e-12 or bad.timeline.locate(s + t) is not None
 
 
+def test_tick_ratio_is_one_rule_for_exact_and_sampled_ticks():
+    exact = fc.make_timeline("rationals", ["1/3", "2/3"])
+    assert exact.ratio(Fraction(2, 3), Fraction(1, 3)) == 2
+    assert exact.ratio(Fraction(1), Fraction(1, 3)) == 3
+    assert exact.ratio(Fraction(2, 3), Fraction(2, 3)) is None  # n = 1 is no division
+    assert exact.ratio(Fraction(1), Fraction(0)) is None
+    assert exact.ratio(Fraction(2, 3) + Fraction(1, 10**30), Fraction(1, 3)) is None
+    sampled = fc.make_timeline("samples", [0.1, 0.3])
+    assert sampled.ratio(0.3, 0.1) == 3  # 0.3 - 3 * 0.1 is 5.6e-17, within TICK_MATCH_TOL
+    assert sampled.ratio(0.3 + 1e-9, 0.1) is None
+    assert sampled.ratio(1.0, 5e-324) is None  # 1 / 5e-324 overflows to inf
+
+
 def test_validate_on_sampled_ticks(c2):
     timeline = fc.make_timeline("samples", [0.25, 0.5, 0.75])
     path = fc.levy_from_exponential(fc.dirac(c2, 1), 2.0, timeline, 1e-10)

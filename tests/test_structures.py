@@ -317,6 +317,25 @@ def test_certificate_shares_the_declared_table():
     assert cert.add_table[0, 0] == 0
 
 
+def test_certified_table_is_read_only():
+    # the kernels alone hold a writeable handle; a write must not change convolve
+    s = catalog.cyclic_group(3)
+    cert = fc.verify_semigroup(s)
+    mu = fc.measure(s, [0.5, 0.5, 0.0])
+    for table in (s.functions["add"].table, cert.add_table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 1] = 0
+    assert fc.convolve(mu, mu).weights.tolist() == [0.25, 0.5, 0.25]
+
+
+def test_enumeration_past_numpy_axes_is_refused():
+    # at m = 1 every enumeration is within the budget, but numpy has no 71-axis array
+    s = certified(catalog.cyclic_group(1))
+    f = fm.parse_formula("".join(f"forall v{i}. " for i in range(70)) + "x = x", s)
+    with pytest.raises(BudgetExceededError, match="axes"):
+        fc.definable_set(s, f, "x")
+
+
 def test_model_validation_rejects_bad_tables():
     with pytest.raises(ModelError):
         catalog.from_add_table([[0, 2], [1, 0]])
