@@ -25,6 +25,8 @@ from .levy import (
     LevyValidationReport,
     Timeline,
     _decode_json,
+    _json_array,
+    _read_generator,
     make_timeline,
     parse_path_csv,
     same_ticks,
@@ -43,8 +45,9 @@ def _read(path, what: str) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, final newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic rendering: sorted keys, two-space indent, final newline;
+    an array (a path generator's weights) is written as its list."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_json_array) + "\n"
 
 
 # --- models -----------------------------------------------------------------
@@ -82,6 +85,8 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
     functions = {}
     for sym, spec in _section(doc, "functions").items():
         arity = symbol_arity(field(spec, sym, "arity"), f"arity of {sym!r}")
+        if arity < 1:  # resolve_nested would never reach depth 0
+            raise ModelError(f"function {sym!r}: arity must be at least 1")
         table = resolve_nested(field(spec, sym, "table"), arity)
         try:
             functions[sym] = FunctionSymbol(arity, table)  # its one int64 copy of the table
@@ -275,4 +280,4 @@ def load_path(path, structure: FiniteStructure) -> LevyPath:
     timeline = timeline_from_dict(doc["timeline"])
     if not same_ticks(timeline, loaded.timeline):
         raise ModelError("manifest timeline does not match the CSV ticks")
-    return LevyPath(timeline, loaded.marginals, doc.get("generator") or loaded.generator)
+    return LevyPath(timeline, loaded.marginals, _read_generator(doc.get("generator")) or loaded.generator)

@@ -13,6 +13,17 @@ set of squares (conv_powers), and likewise the powers of each marginal
 that the divisibility check needs. Each marginal is still bit-identical to
 its single-tick conv_exp or conv_power call (see the measures module), so
 sharing changes the cost, not the numbers.
+
+Validation lists the tick pairs once and evaluates the increments of one
+right factor X(t) together. On a group they are one product of the stack
+of left factors with X(t)'s multiplication operator, which keeps the
+kernel's bits there; on other monoids the operator adds weights before
+multiplying and would move the last bits of a report, so each pair takes
+its own kernel call. Either way every report is the one the per-pair scan
+gives.
+
+A generator holds its jump measure's weights as that measure's read-only
+array, 8 bytes a weight, and is written as the list of those floats.
 """
 
 from __future__ import annotations
@@ -20,14 +31,16 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .errors import MeasureError, StructureMismatchError, TimelineError
-from .measures import SUM_TOL, Measure, conv_exps, conv_powers, convolve, dirac, tv_distance
+from .measures import SUM_TOL, Measure, _powers_raw, _products_raw, conv_exps, conv_powers, dirac, tv_distance
 from .structures import certificate_of, same_structure
 
 TICK_MATCH_TOL = 1e-12  # absolute slack when matching real-valued ticks
@@ -157,7 +170,7 @@ def levy_from_root(nu: Measure, n_steps: int) -> LevyPath:
     generator = {
         "kind": "root",
         "N": n_steps,
-        "weights": [float(w) for w in nu.weights],
+        "weights": nu.weights,
         "structure": nu.structure.fingerprint,
     }
     return LevyPath(timeline, tuple(marginals), generator)
@@ -173,44 +186,96 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
         "kind": "exponential",
         "r": float(r),
         "tol": float(tol),
-        "weights": [float(w) for w in nu.weights],
+        "weights": nu.weights,
         "structure": nu.structure.fingerprint,
     }
     return LevyPath(timeline, tuple(marginals), generator)
 
 
+def _tick_pairs(timeline: Timeline) -> tuple[list, list]:
+    """The tick pairs validation checks, each list in lexicographic order:
+    (i, j, k) with i <= j and t_i + t_j = t_k, and (i, j, n) with i < j and
+    t_j = n * t_i for an integer n >= 2.
+
+    Exact ticks are compared as integer numerators over their common
+    denominator, which is what locate and ratio decide on fractions, without
+    a Fraction sum or quotient per pair; sampled ticks go through locate and
+    ratio, within TICK_MATCH_TOL.
+    """
+    ticks = timeline.ticks
+    if timeline.kind == SAMPLES:
+        def at(i, j):
+            return timeline.locate(ticks[i] + ticks[j])
+
+        def times(i, j):
+            return timeline.ratio(ticks[j], ticks[i])
+    else:
+        denominator = math.lcm(*(Fraction(t).denominator for t in ticks))
+        nums = [int(t * denominator) for t in ticks]
+        position = {v: k for k, v in enumerate(nums)}
+
+        def at(i, j):
+            return position.get(nums[i] + nums[j])
+
+        def times(i, j):
+            n, rest = divmod(nums[j], nums[i]) if nums[i] > 0 else (0, 1)
+            return n if n >= 2 and rest == 0 else None
+
+    size = len(ticks)
+    increments = [(i, j, k) for i in range(size) for j in range(i, size) if (k := at(i, j)) is not None]
+    divisions = [(i, j, n) for i in range(size) for j in range(i + 1, size) if (n := times(i, j)) is not None]
+    return increments, divisions
+
+
+def _tv_to_targets(raw: np.ndarray, targets: np.ndarray) -> list[float]:
+    """Total variation of each row of targets from its row of raw products,
+    normalised as convolve and conv_powers do and measured as tv_distance
+    does, so each value has the bits of the public calls."""
+    totals = np.array([math.fsum(row) for row in raw.tolist()])
+    diffs = np.abs(targets - raw / totals[:, None])
+    return [min(1.0, 0.5 * math.fsum(row)) for row in diffs.tolist()]
+
+
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
-    Scans pairs in increasing lexicographic order and keeps the first
-    occurrence of the worst violation, so reports are deterministic.
+    The tick pairs are listed once (_tick_pairs). The increments are taken
+    per right factor X(t), all its left factors X(s) in one stack
+    (measures._products_raw), and the powers per marginal from one chain of
+    squares; every value has the bits of tv_distance(X(s + t), convolve(X(s),
+    X(t))) and of tv_distance(conv_power(X(s), n), X(n s)). The scan then
+    runs in increasing lexicographic order and keeps the first occurrence
+    of the worst violation, so reports are deterministic.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
+    if not all(same_structure(mu.structure, path.structure) for mu in path.marginals):
+        raise StructureMismatchError("measures live on different structures")
     ticks = path.timeline.ticks
-    marg = path.marginals
-    zero = certificate_of(path.structure).zero
-    start_error = tv_distance(marg[0], dirac(path.structure, zero))
+    cert = certificate_of(path.structure)
+    start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))
+    weights = np.array([mu.weights for mu in path.marginals])
+    increments, divisions = _tick_pairs(path.timeline)
 
-    worst_inc, inc_at, inc_checked = 0.0, None, 0
-    for i in range(len(ticks)):
-        for j in range(i, len(ticks)):
-            k = path.timeline.locate(ticks[i] + ticks[j])
-            if k is None:
-                continue
-            inc_checked += 1
-            v = tv_distance(marg[k], convolve(marg[i], marg[j]))
-            if v > worst_inc:
-                worst_inc, inc_at = v, (float(ticks[i]), float(ticks[j]))
+    by_right = defaultdict(list)  # right factor j -> its pairs (i, k)
+    for i, j, k in increments:
+        by_right[j].append((i, k))
+    inc_values = {}
+    for j, pairs in by_right.items():
+        left, sums = map(list, zip(*pairs))
+        raw = _products_raw(cert, weights[left], weights[j])
+        inc_values.update(zip(((i, j) for i in left), _tv_to_targets(raw, weights[sums])))
+    worst_inc, inc_at = 0.0, None
+    for i, j, _ in increments:
+        v = inc_values[i, j]
+        if v > worst_inc:
+            worst_inc, inc_at = v, (float(ticks[i]), float(ticks[j]))
 
-    worst_div, div_at, div_checked = 0.0, None, 0
-    for i in range(len(ticks)):
-        ratios = [(j, path.timeline.ratio(ticks[j], ticks[i])) for j in range(i + 1, len(ticks))]
-        ratios = [(j, n) for j, n in ratios if n is not None]
-        powers = conv_powers(marg[i], [n for _, n in ratios])
-        for (j, n), powered in zip(ratios, powers):
-            div_checked += 1
-            v = tv_distance(powered, marg[j])
+    worst_div, div_at = 0.0, None
+    for i, group in groupby(divisions, key=lambda d: d[0]):
+        group = list(group)
+        raw = np.array(_powers_raw(cert, weights[i], [n for _, _, n in group]))
+        for (_, j, n), v in zip(group, _tv_to_targets(raw, weights[[j for _, j, _ in group]])):
             if v > worst_div:
                 worst_div, div_at = v, (float(ticks[j]), n)
 
@@ -219,10 +284,10 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
         start_error=start_error,
         worst_increment=worst_inc,
         increment_at=inc_at,
-        increments_checked=inc_checked,
+        increments_checked=len(increments),
         worst_division=worst_div,
         division_at=div_at,
-        divisions_checked=div_checked,
+        divisions_checked=len(divisions),
     )
 
 
@@ -275,11 +340,31 @@ def _decode_json(text: str, what: str, error: type[Exception]):
         raise error(f"{what} is not valid JSON: an integer has too many digits") from exc
 
 
+def _json_array(value) -> list:
+    """json's writer for the arrays a generator holds: the list of their
+    floats, so a weight array prints as the list of its weights did."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _read_generator(doc):
+    """A decoded generator with its weights, when a list of floats as
+    export_path writes them, back in a read-only array; other values stay
+    as decoded, to be rewritten as read."""
+    weights = doc.get("weights") if isinstance(doc, dict) else None
+    if isinstance(weights, list) and all(type(w) is float for w in weights):
+        array = np.array(weights)
+        array.setflags(write=False)
+        doc = {**doc, "weights": array}
+    return doc
+
+
 def export_path(path: LevyPath) -> str:
     """CSV with one row per tick, weights at 17 significant digits."""
     m = path.structure.size
     lines = [
-        "# generator: " + json.dumps(path.generator, sort_keys=True),
+        "# generator: " + json.dumps(path.generator, sort_keys=True, default=_json_array),
         f"# structure: size={m} fingerprint={path.structure.fingerprint}",
         "t," + ",".join(f"w_{i}" for i in range(m)),
     ]
@@ -308,7 +393,8 @@ def parse_path_csv(text: str, structure) -> LevyPath:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("generator:"):
-                generator = _decode_json(body[len("generator:"):], "path CSV generator line", TimelineError)
+                decoded = _decode_json(body[len("generator:"):], "path CSV generator line", TimelineError)
+                generator = _read_generator(decoded)
             elif body.startswith("structure:"):
                 found = dict(f.split("=", 1) for f in body.split() if "=" in f)
                 if found != {"size": str(structure.size), "fingerprint": structure.fingerprint}:

@@ -43,6 +43,12 @@ stored chain costs O(L * m) memory for the L = r + O(sqrt(r)) terms of
 the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at r = 700
 and 293 at r = 200.
 
+_products_raw multiplies a stack of left factors by one right factor, as
+validate_levy does for the tick pairs that share one. It takes that
+operator on a group only: there one bincount serves the whole stack and
+the bits are the kernel's, while on other monoids the operator would move
+the last bits of validation reports, so each row keeps its kernel call.
+
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
 solver's grid scan does. A stack is one bincount in which row b's sums
@@ -217,6 +223,21 @@ def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
     m = w.shape[0]
     idx = np.arange(m)[:, None] * m + cert.add_table
     return np.bincount(idx.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
+
+
+def _products_raw(cert: SemigroupCertificate, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of the stack (B, m) times w, with the bits of _convolve_raw
+    on that row.
+
+    On a group this is one product with w's operator: each operator cell
+    holds a single weight, and the product adds a[x] * w[y] over x in the
+    bincount's order. Elsewhere the operator would add weights before
+    multiplying and move the last bits, so each row takes its own
+    _convolve_raw call (the stacked bincount is slower per row at m = 256).
+    """
+    if cert.is_group:
+        return np.einsum("ix,xz->iz", stack, _right_operator(cert, w))
+    return np.array([_convolve_raw(cert, a, w) for a in stack])
 
 
 def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -435,6 +436,16 @@ class SemigroupCertificate:
     @property
     def passed(self) -> bool:
         return all(a.holds for a in self.axioms)
+
+    @cached_property
+    def is_group(self) -> bool:
+        """Whether every row x + . of the table is a permutation: a monoid
+        whose every left translation is onto is a group. Computed on first
+        use, so certification never pays for it."""
+        if self.add_table is None:
+            return False
+        m = self.add_table.shape[0]
+        return bool((np.sort(self.add_table, axis=1) == np.arange(m)).all())
 
     def axiom(self, name: str) -> AxiomCheck:
         for a in self.axioms:

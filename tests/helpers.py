@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -11,6 +13,8 @@ import finconv.formulas as fm
 from finconv import catalog
 from finconv.errors import FormulaSyntaxError
 from finconv.formulas import _PUNCT, _Token
+from finconv.levy import LevyValidationReport
+from finconv.structures import certificate_of
 
 
 # --- structure zoo -----------------------------------------------------------
@@ -18,6 +22,28 @@ from finconv.formulas import _PUNCT, _Token
 def certified(s):
     fc.verify_semigroup(s)
     return s
+
+
+@lru_cache(maxsize=None)
+def catalog_monoid(kind: str, a: int, b: int, perm_seed: int):
+    """A certified catalog monoid: Z_a ("cyclic"), Z_a x Z_b ("group"), J_a
+    ("chain") or Z_a x J_b (any other kind), relabelled by a seeded
+    permutation unless perm_seed < 0."""
+    if kind == "cyclic":
+        base = catalog.cyclic_group(a)
+    elif kind == "group":
+        base = catalog.product_of(certified(catalog.cyclic_group(a)), certified(catalog.cyclic_group(b)))
+    elif kind == "chain":
+        base = catalog.chain_semilattice(a)
+    else:
+        base = catalog.product_of(
+            certified(catalog.cyclic_group(a)), certified(catalog.chain_semilattice(b))
+        )
+    base = certified(base)
+    if perm_seed < 0:
+        return base
+    perm = np.random.default_rng(perm_seed).permutation(base.size)
+    return certified(catalog.relabeled(base, perm))
 
 
 def random_semigroup(rng, max_m=16):
@@ -55,6 +81,23 @@ def conditioned_chain_root(chain, rng, bottom_mass):
     w = (1 - bottom_mass) * rng.dirichlet(np.ones(m))
     w[0] += bottom_mass
     return fc.measure(chain, w)
+
+
+def same_generator(a: dict, b: dict) -> bool:
+    """Dict equality with arrays compared by dtype, shape and bytes, as a
+    path generator holds its weights in an array."""
+    if a.keys() != b.keys():
+        return False
+    for key in a:
+        x, y = a[key], b[key]
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)):
+                return False
+            if (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape, y.tobytes()):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 # --- independent oracles ------------------------------------------------------
@@ -128,6 +171,76 @@ def fd_tangent_gradient(jfun, w, eps=1e-6):
         d[i] += 1.0
         out[i] = (jfun(w + eps * d) - jfun(w - eps * d)) / (2 * eps)
     return out
+
+
+def reference_tick_pairs(timeline):
+    """The increment and division pairs as validate_levy enumerated them
+    before it listed them once: locate on the tick sum (Fraction or float
+    arithmetic) and ratio on each later tick."""
+    ticks = timeline.ticks
+    increments = [
+        (i, j, timeline.locate(ticks[i] + ticks[j]))
+        for i in range(len(ticks))
+        for j in range(i, len(ticks))
+        if timeline.locate(ticks[i] + ticks[j]) is not None
+    ]
+    divisions = [
+        (i, j, timeline.ratio(ticks[j], ticks[i]))
+        for i in range(len(ticks))
+        for j in range(i + 1, len(ticks))
+        if timeline.ratio(ticks[j], ticks[i]) is not None
+    ]
+    return increments, divisions
+
+
+def reference_validate_levy(path, tol):
+    """validate_levy's former scan, one convolve and one tv_distance per
+    tick pair, kept as the reference its report must match bit for bit."""
+    ticks = path.timeline.ticks
+    marg = path.marginals
+    zero = certificate_of(path.structure).zero
+    start_error = fc.tv_distance(marg[0], fc.dirac(path.structure, zero))
+
+    worst_inc, inc_at, inc_checked = 0.0, None, 0
+    for i in range(len(ticks)):
+        for j in range(i, len(ticks)):
+            k = path.timeline.locate(ticks[i] + ticks[j])
+            if k is None:
+                continue
+            inc_checked += 1
+            v = fc.tv_distance(marg[k], fc.convolve(marg[i], marg[j]))
+            if v > worst_inc:
+                worst_inc, inc_at = v, (float(ticks[i]), float(ticks[j]))
+
+    worst_div, div_at, div_checked = 0.0, None, 0
+    for i in range(len(ticks)):
+        ratios = [(j, path.timeline.ratio(ticks[j], ticks[i])) for j in range(i + 1, len(ticks))]
+        ratios = [(j, n) for j, n in ratios if n is not None]
+        powers = fc.conv_powers(marg[i], [n for _, n in ratios])
+        for (j, n), powered in zip(ratios, powers):
+            div_checked += 1
+            v = fc.tv_distance(powered, marg[j])
+            if v > worst_div:
+                worst_div, div_at = v, (float(ticks[j]), n)
+
+    return LevyValidationReport(
+        tol=float(tol),
+        start_error=start_error,
+        worst_increment=worst_inc,
+        increment_at=inc_at,
+        increments_checked=inc_checked,
+        worst_division=worst_div,
+        division_at=div_at,
+        divisions_checked=div_checked,
+    )
+
+
+def report_bits(report) -> tuple:
+    """A validation report's fields with every float as its hex bits."""
+    return tuple(
+        v.hex() if isinstance(v, float) else tuple(map(repr, v)) if isinstance(v, tuple) else v
+        for v in dataclasses.astuple(report)
+    )
 
 
 # --- random formulas -----------------------------------------------------------

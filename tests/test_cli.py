@@ -334,14 +334,29 @@ MALFORMED_MODELS = {
     },
     "relation-arity-70": {"universe": 1, "relations": {"r": {"arity": 70, "tuples": []}}},
     "relation-arity-1e17": {"universe": 1, "relations": {"r": {"arity": 1e17, "tuples": []}}},
+    # a negative arity never reaches depth 0 of the table, however deep it nests;
+    # raw text, since json recurses as deep as the value
+    "function-arity-negative": (
+        '{"universe": 1, "functions": {"f": {"arity": -1, "table": ' + "[" * 950 + "0" + "]" * 950 + "}}}"
+    ),
+    "function-arity-zero": {"universe": 1, "functions": {"f": {"arity": 0, "table": [0]}}},
 }
+
+
+def _write_model(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
 def test_malformed_model_is_input_error(tmp_path, name):
-    model = tmp_path / f"{name}.json"
-    model.write_text(json.dumps(MALFORMED_MODELS[name]))
-    _assert_input_error(run_cli("verify", str(model)))
+    _assert_input_error(run_cli("verify", _write_model(tmp_path / f"{name}.json", MALFORMED_MODELS[name])))
+
+
+@pytest.mark.parametrize("name", ["function-arity-negative", "function-arity-zero"])
+def test_function_arity_below_one_is_refused(tmp_path, name):
+    proc = run_cli("verify", _write_model(tmp_path / "model.json", MALFORMED_MODELS[name]))
+    assert proc.stderr == "error: function 'f': arity must be at least 1\n"
 
 
 DEEP_JSON = "[" * 5000 + "]" * 5000  # raw text: json.dumps recurses as deep as the value

@@ -42,11 +42,18 @@ CASES = {
     "levy_root_c3": ["levy-root", "c3.json", "c3_mu.json", "--N", "4"],
     "levy_exp_c2": ["levy-exp", "c2.json", "c2_mu.json", "--r", "1", "--N", "4"],
     "levy_validate_c3": ["levy-validate", "c3.json", "c3_path.json"],
+    # long paths: a group (Z8) and a chain (J3), with exact and sampled ticks
+    "levy_root_z8": ["levy-root", "z8.json", "z8_mu.json", "--N", "64"],
+    "levy_root_j3": ["levy-root", "j3.json", "j3_mu.json", "--N", "64"],
+    "levy_validate_z8": ["levy-validate", "z8.json", "z8_path.json"],
+    "levy_validate_z8_csv": ["levy-validate", "z8.json", "z8_path.csv"],
+    "levy_validate_j3": ["levy-validate", "j3.json", "j3_rational.json"],
+    "levy_validate_j3_csv": ["levy-validate", "j3.json", "j3_path.csv"],
 }
 
 
 def run_case(name: str) -> tuple[int, str]:
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
+    argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a for a in CASES[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)

@@ -4,10 +4,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import finconv as fc
+from finconv import fileio
 from finconv.errors import StructureMismatchError, TimelineError
-from helpers import iterative_power, random_measure
+from finconv.levy import TICK_MATCH_TOL, _tick_pairs
+from helpers import (
+    catalog_monoid,
+    iterative_power,
+    random_measure,
+    reference_tick_pairs,
+    reference_validate_levy,
+    report_bits,
+    same_generator,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None)
 
 
 # --- timelines ---------------------------------------------------------------
@@ -119,6 +133,12 @@ def test_validate_locates_corruption(c2):
     assert abs(s + t - 10 / 16) <= 1e-12 or bad.timeline.locate(s + t) is not None
 
 
+def test_validate_refuses_marginals_on_different_structures(c2, j2):
+    marginals = (fc.dirac(c2, 0), fc.measure(j2, [0.5, 0.5]))
+    with pytest.raises(StructureMismatchError, match="different structures"):
+        fc.validate_levy(fc.LevyPath(fc.make_timeline("uniform_grid", 1), marginals, {}), 1e-9)
+
+
 def test_tick_ratio_is_one_rule_for_exact_and_sampled_ticks():
     exact = fc.make_timeline("rationals", ["1/3", "2/3"])
     assert exact.ratio(Fraction(2, 3), Fraction(1, 3)) == 2
@@ -182,8 +202,25 @@ def test_export_row_count_and_round_trip(z8):
     assert len(back.marginals) == len(path.marginals)
     for ours, theirs in zip(path.marginals, back.marginals):
         assert ours.weights.tobytes() == theirs.weights.tobytes()
-    assert back.generator == path.generator
+    assert same_generator(back.generator, path.generator)
     assert fc.validate_levy(back, 3e-9).passed
+
+
+def test_manifest_round_trip_keeps_generator_bytes(z8, tmp_path):
+    """Generator weights are the measure's read-only array; they are written
+    as the list of their floats and read back into an array."""
+    nu = random_measure(z8, np.random.default_rng(3))
+    path = fc.levy_from_root(nu, 6)
+    assert path.generator["weights"] is nu.weights
+    as_list = dataclasses.replace(path, generator={**path.generator, "weights": nu.weights.tolist()})
+    for write in (fc.export_path, lambda p: fileio.canonical_json(fileio.path_manifest(p, "p.csv"))):
+        assert write(path) == write(as_list)
+    (tmp_path / "p.csv").write_text(fc.export_path(path))
+    (tmp_path / "p.json").write_text(fileio.canonical_json(fileio.path_manifest(path, "p.csv")))
+    for name in ("p.csv", "p.json"):
+        back = fileio.load_path(tmp_path / name, z8)
+        assert same_generator(back.generator, path.generator)
+        assert not back.generator["weights"].flags.writeable
 
 
 def _export_rows(path):
@@ -241,3 +278,83 @@ def test_timeline_ticks_given_as_text(c2):
     with pytest.raises(TimelineError):
         fc.levy_from_root(fc.dirac(c2, 1), 0)
 
+
+
+# --- the pair scan against its per-pair reference -------------------------------
+
+LARGE_PRIMES = (999979, 999983)  # their common denominator is near 10**12
+
+
+@st.composite
+def timelines(draw):
+    """A uniform grid, a rational timeline with small and large denominators,
+    or sampled ticks on a binary grid, some moved by exactly TICK_MATCH_TOL;
+    sums of drawn ticks are added, so many pairs match."""
+    kind = draw(st.sampled_from(["uniform_grid", "rationals", "samples"]))
+    if kind == "uniform_grid":
+        return fc.make_timeline(kind, draw(st.integers(1, 12)))
+    if kind == "rationals":
+        dens = st.sampled_from((2, 3, 4, 6, 8, 12) + LARGE_PRIMES)
+        ticks = draw(st.lists(dens.flatmap(lambda d: st.builds(Fraction, st.integers(1, d), st.just(d))),
+                              min_size=1, max_size=5))
+    else:
+        ticks = [k / 16 + draw(st.sampled_from([0.0, 0.0, TICK_MATCH_TOL, -TICK_MATCH_TOL]))
+                 for k in draw(st.lists(st.integers(1, 15), min_size=1, max_size=5))]
+    sums = [t + u for t in ticks for u in ticks if t + u <= 1]
+    ticks += draw(st.lists(st.sampled_from(sums), max_size=4)) if sums else []
+    return fc.make_timeline(kind, ticks)
+
+
+@SETTINGS
+@example(fc.make_timeline("rationals", [Fraction(1, 999983), Fraction(2, 999979),
+                                        Fraction(1, 999983) + Fraction(2, 999979), Fraction(2, 999983)]))
+@example(fc.make_timeline("samples", [0.25, 0.5 - TICK_MATCH_TOL, 0.5, 0.5 + TICK_MATCH_TOL, 0.75 + TICK_MATCH_TOL]))
+@given(timelines())
+def test_tick_pairs_match_the_per_pair_enumeration(timeline):
+    assert _tick_pairs(timeline) == reference_tick_pairs(timeline)
+
+
+@st.composite
+def paths(draw):
+    """A path on a catalog monoid: a root or exponential path, or marginals
+    drawn from a pool of two measures, so that many pairs tie."""
+    kind = draw(st.sampled_from(["cyclic", "group", "chain", "product"]))
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 3)) if kind in ("group", "product") else 0
+    s = catalog_monoid(kind, a, b, draw(st.integers(-1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    nu = random_measure(s, rng)
+    source = draw(st.sampled_from(["root", "exp", "pool"]))
+    if source == "root":
+        return fc.levy_from_root(nu, draw(st.integers(1, 12)))
+    timeline = draw(timelines())
+    if source == "exp":
+        return fc.levy_from_exponential(nu, draw(st.sampled_from([0.5, 3.0, 40.0])), timeline, 1e-9)
+    pool = [nu, random_measure(s, rng)]
+    marginals = tuple(pool[int(k)] for k in rng.integers(0, 2, size=len(timeline)))
+    return fc.LevyPath(timeline, marginals, {})
+
+
+@SETTINGS
+@given(paths(), st.sampled_from([0.0, 1e-12, 1e-9]))
+def test_validation_matches_the_per_pair_reference_scan(path, tol):
+    assert report_bits(fc.validate_levy(path, tol)) == report_bits(reference_validate_levy(path, tol))
+
+
+@SETTINGS
+@given(paths())
+def test_first_worst_pair_is_reported(path):
+    """Among the pairs at the largest violation, the first in lexicographic
+    order is the one reported, for increments and for divisions alike."""
+    ticks, marg = path.timeline.ticks, path.marginals
+    increments, divisions = reference_tick_pairs(path.timeline)
+    report = fc.validate_levy(path, 0.0)
+
+    def first_worst(values, places):
+        worst = max(values, default=0.0)
+        return None if worst == 0.0 else places[values.index(worst)]
+
+    values = [fc.tv_distance(marg[k], fc.convolve(marg[i], marg[j])) for i, j, k in increments]
+    assert report.increment_at == first_worst(values, [(float(ticks[i]), float(ticks[j])) for i, j, _ in increments])
+    values = [fc.tv_distance(fc.conv_power(marg[i], n), marg[j]) for i, j, n in divisions]
+    assert report.division_at == first_worst(values, [(float(ticks[j]), n) for _, j, n in divisions])

@@ -15,7 +15,6 @@ move each product by at most m * eps in total variation.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,30 +25,11 @@ import finconv as fc
 from finconv import catalog
 from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_objective
 from finconv.errors import MeasureError
-from finconv.measures import _convolve_raw, _poisson_terms, _powers_raw, _right_operator
+from finconv.measures import _convolve_raw, _poisson_terms, _powers_raw, _products_raw, _right_operator
 from finconv.structures import certificate_of
-from helpers import certified
+from helpers import catalog_monoid
 
 SETTINGS = settings(max_examples=30, deadline=None)
-
-
-@lru_cache(maxsize=None)
-def _monoid(kind: str, a: int, b: int, perm_seed: int):
-    if kind == "cyclic":
-        base = catalog.cyclic_group(a)
-    elif kind == "group":
-        base = catalog.product_of(certified(catalog.cyclic_group(a)), certified(catalog.cyclic_group(b)))
-    elif kind == "chain":
-        base = catalog.chain_semilattice(a)
-    else:
-        base = catalog.product_of(
-            certified(catalog.cyclic_group(a)), certified(catalog.chain_semilattice(b))
-        )
-    base = certified(base)
-    if perm_seed < 0:
-        return base
-    perm = np.random.default_rng(perm_seed).permutation(base.size)
-    return certified(catalog.relabeled(base, perm))
 
 
 @st.composite
@@ -60,7 +40,7 @@ def measures(draw):
     a = draw(st.integers(1, 6))
     b = draw(st.integers(1, 3)) if kind == "product" else 0
     perm_seed = draw(st.integers(-1, 3))
-    s = _monoid(kind, a, b, perm_seed)
+    s = catalog_monoid(kind, a, b, perm_seed)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     w = rng.dirichlet(np.ones(s.size))
     if draw(st.booleans()):
@@ -152,7 +132,7 @@ def test_conv_exp_keeps_one_rate_series_bits(mu, r, tol):
     st.integers(0, 2**16),
 )
 def test_right_operator_product_matches_convolution(kind, a, b, perm_seed, seed):
-    s = _monoid(kind, a, b, perm_seed)
+    s = catalog_monoid(kind, a, b, perm_seed)
     cert = certificate_of(s)
     rng = np.random.default_rng(seed)
     x, w = rng.dirichlet(np.ones(s.size), size=2)
@@ -208,13 +188,15 @@ def test_exponential_path_every_marginal_bit_identical(nu, r, n_steps):
 
 def test_power_layer_work_is_pinned(monkeypatch):
     """_convolve_raw calls on Z16: the powers 0..64 of a root path share 6
-    squares and 57 products, validating that path takes 1,305, conv_power
-    (., 1023) 9 squares and 9 products, conv_powers(., [3, 5, 7, 1024,
-    4099]) 12 squares and 4 products, and conv_exp at r = 900 squares 12
-    times."""
-    nu = fc.measure(_monoid("cyclic", 16, 0, -1), np.random.default_rng(1).dirichlet(np.ones(16)))
-    calls = []
+    squares and 57 products; validating that path takes 216 for its powers,
+    and one operator build per right factor, 65, for its 1,089 increments,
+    since Z16 is a group; conv_power(., 1023) takes 9 squares and 9
+    products, conv_powers(., [3, 5, 7, 1024, 4099]) 12 squares and 4
+    products, and conv_exp at r = 900 squares 12 times."""
+    nu = fc.measure(catalog_monoid("cyclic", 16, 0, -1), np.random.default_rng(1).dirichlet(np.ones(16)))
+    calls, builds = [], []
     monkeypatch.setattr("finconv.measures._convolve_raw", lambda *args: calls.append(1) or _convolve_raw(*args))
+    monkeypatch.setattr("finconv.measures._right_operator", lambda *args: builds.append(1) or _right_operator(*args))
 
     def count(run):
         calls.clear()
@@ -223,7 +205,9 @@ def test_power_layer_work_is_pinned(monkeypatch):
 
     path = fc.levy_from_root(nu, 64)
     assert len(calls) == 63
-    assert count(lambda: fc.validate_levy(path, 1e-9)) == 1305
+    builds.clear()
+    assert count(lambda: fc.validate_levy(path, 1e-9)) == 216
+    assert len(builds) == 65
     assert count(lambda: fc.conv_power(nu, 1023)) == 18
     assert count(lambda: fc.conv_powers(nu, [3, 5, 7, 1024, 4099])) == 16
     assert count(lambda: fc.conv_exp(nu, 900.0, 1e-9)) == 12
@@ -240,6 +224,53 @@ def test_empty_and_invalid_requests(z8):
         fc.conv_powers(mu, [2, -1])
 
 
+# --- products by one right factor ------------------------------------------------
+
+@st.composite
+def right_factor_stacks(draw):
+    """A catalog monoid, groups among them, a (B, m) stack of left factors
+    and one right factor."""
+    kind = draw(st.sampled_from(["cyclic", "group", "chain", "product"]))
+    a = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 4)) if kind in ("group", "product") else 0
+    s = catalog_monoid(kind, a, b, draw(st.integers(-1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = rng.dirichlet(np.ones(s.size), size=draw(st.sampled_from([1, 2, 5, 33])))
+    if draw(st.booleans()):
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+    return s, rows, rng.dirichlet(np.ones(s.size))
+
+
+@SETTINGS
+@given(right_factor_stacks())
+def test_products_by_one_factor_keep_the_kernel_bits(case):
+    """On a group the operator product; elsewhere one kernel call per row."""
+    s, rows, w = case
+    cert = certificate_of(s)
+    expected = np.array([_convolve_raw(cert, a, w) for a in rows])
+    assert _products_raw(cert, rows, w).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 33, 130])
+@pytest.mark.parametrize("kind,a,b,perm_seed", [("cyclic", 256, 0, -1), ("group", 16, 16, 5), ("product", 16, 16, 5)])
+def test_products_by_one_factor_keep_the_kernel_bits_at_m256(kind, a, b, perm_seed, rows):
+    cert = certificate_of(catalog_monoid(kind, a, b, perm_seed))
+    rng = np.random.default_rng(rows)
+    stack, w = rng.dirichlet(np.ones(256), size=rows), rng.dirichlet(np.ones(256))
+    expected = np.array([_convolve_raw(cert, a, w) for a in stack])
+    assert _products_raw(cert, stack, w).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "group", "chain", "product"])
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (3, 1), (4, 3)])
+def test_is_group_means_every_element_has_an_inverse(kind, a, b):
+    cert = certificate_of(catalog_monoid(kind, a, b, 2))
+    inverses = (cert.add_table == cert.zero).any(axis=1)
+    assert cert.is_group == bool(inverses.all())
+    trivial_chain = (kind == "chain" and a == 1) or (kind == "product" and b == 1)
+    assert cert.is_group == (kind in ("cyclic", "group") or trivial_chain)
+
+
 # --- the stacked kernel ---------------------------------------------------------
 
 GRID_ORDERS = st.sampled_from([1, 2, 3, 7, 16, 33])
@@ -252,7 +283,7 @@ def stacks(draw, max_size=18):
     kind = draw(st.sampled_from(["cyclic", "chain", "product"]))
     a = draw(st.integers(1, min(6, max_size)))
     b = draw(st.integers(1, min(3, max_size // a))) if kind == "product" else 0
-    s = _monoid(kind, a, b, draw(st.integers(-1, 3)))
+    s = catalog_monoid(kind, a, b, draw(st.integers(-1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     rows = rng.dirichlet(np.ones(s.size), size=draw(st.sampled_from([1, 2, 3, 8])))
     if draw(st.booleans()):
