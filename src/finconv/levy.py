@@ -14,13 +14,15 @@ that the divisibility check needs. Each marginal is still bit-identical to
 its single-tick conv_exp or conv_power call (see the measures module), so
 sharing changes the cost, not the numbers.
 
-Validation lists the tick pairs once and evaluates the increments of one
-right factor X(t) together. On a group they are one product of the stack
-of left factors with X(t)'s multiplication operator, which keeps the
-kernel's bits there; on other monoids the operator adds weights before
-multiplying and would move the last bits of a report, so each pair takes
-its own kernel call. Either way every report is the one the per-pair scan
-gives.
+Validation lists the tick pairs through the timeline, which matches exact
+ticks as integer numerators over their common denominator, and evaluates
+the increments of one right factor X(t) together. On a group they are one
+product of the stack of left factors with X(t)'s multiplication operator,
+which keeps the kernel's bits there; on other monoids the operator adds
+weights before multiplying and would move the last bits of a report, so
+each pair takes its own kernel call. The scan keeps only the worst pair
+so far, so its memory grows with the ticks, not with the pairs, and every
+report is the one the per-pair scan gives.
 
 A generator holds its jump measure's weights as that measure's read-only
 array, 8 bytes a weight, and is written as the list of those floats.
@@ -31,16 +33,25 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
 from .errors import MeasureError, StructureMismatchError, TimelineError
-from .measures import SUM_TOL, Measure, _powers_raw, _products_raw, conv_exps, conv_powers, dirac, tv_distance
+from .measures import (
+    SUM_TOL,
+    Measure,
+    _normalised,
+    _powers_raw,
+    _products_raw,
+    _tv_raw,
+    conv_exps,
+    conv_powers,
+    dirac,
+    tv_distance,
+)
 from .structures import certificate_of, same_structure
 
 TICK_MATCH_TOL = 1e-12  # absolute slack when matching real-valued ticks
@@ -57,31 +68,88 @@ class Timeline:
     Ticks are exact fractions for uniform grids and rational timelines,
     floats for sampled ones; tick sums and multiples are matched exactly in
     the rational case and within TICK_MATCH_TOL in the sampled case.
+
+    Matching works on keys: an exact value scaled by the ticks' common
+    denominator, so that every tick's key is an integer numerator and the
+    tick pairs a path's validation checks need integer sums and quotients
+    only; a sampled value is its own key.
     """
 
     kind: str
     ticks: tuple
 
     @cached_property
+    def _scale(self) -> int:  # exact kinds only
+        return math.lcm(*(Fraction(t).denominator for t in self.ticks))
+
+    @cached_property
+    def _keys(self) -> tuple:
+        if self.kind == SAMPLES:
+            return self.ticks
+        return tuple(int(t * self._scale) for t in self.ticks)
+
+    @cached_property
     def _positions(self) -> dict:
-        return {t: i for i, t in enumerate(self.ticks)}
+        return {k: i for i, k in enumerate(self._keys)}
+
+    def _key(self, value):
+        if self.kind == SAMPLES:
+            return float(value)
+        try:
+            return Fraction(value) * self._scale
+        except (ValueError, OverflowError):  # nan and infinities are no tick
+            return None
+
+    def _find(self, key) -> int | None:
+        if self.kind == SAMPLES:
+            i = bisect_left(self._keys, key - TICK_MATCH_TOL)
+            if i < len(self._keys) and abs(self._keys[i] - key) <= TICK_MATCH_TOL:
+                return i
+            return None
+        return self._positions.get(key)
+
+    def _quotient(self, a, b) -> int | None:
+        if b <= 0:
+            return None
+        if self.kind == SAMPLES:
+            if a / b == math.inf:
+                return None
+            n = round(a / b)
+            return n if n >= 2 and abs(a - n * b) <= TICK_MATCH_TOL else None
+        n, rest = divmod(a, b)
+        return n if n >= 2 and rest == 0 else None
 
     def locate(self, value) -> int | None:
         """Index of the tick equal to value, or None."""
-        if self.kind == SAMPLES:
-            i = bisect_left(self.ticks, float(value) - TICK_MATCH_TOL)
-            if i < len(self.ticks) and abs(self.ticks[i] - float(value)) <= TICK_MATCH_TOL:
-                return i
-            return None
-        return self._positions.get(value)
+        key = self._key(value)
+        return None if key is None else self._find(key)
 
     def ratio(self, t, u) -> int | None:
-        """t / u as an integer n >= 2, or None; also None where t / u overflows a float."""
-        if u <= 0 or t / u == math.inf:
-            return None
-        n = round(t / u)
-        slack = TICK_MATCH_TOL if self.kind == SAMPLES else 0
-        return n if n >= 2 and abs(t - n * u) <= slack else None
+        """t / u as an integer n >= 2, or None: exactly on an exact timeline;
+        within TICK_MATCH_TOL on a sampled one, None where t / u overflows
+        a float."""
+        a, b = self._key(t), self._key(u)
+        return None if a is None or b is None else self._quotient(a, b)
+
+    def increments(self):
+        """The tick sums a path's validation checks, one right term at a
+        time: for each j in increasing order, j and its pairs (i, k) with
+        i <= j and t_i + t_j = t_k, i increasing."""
+        keys = self._keys
+        for j, b in enumerate(keys):
+            pairs = [(i, k) for i in range(j + 1) if (k := self._find(keys[i] + b)) is not None]
+            if pairs:
+                yield j, pairs
+
+    def divisions(self):
+        """The tick multiples a path's validation checks, one divisor at a
+        time: for each i in increasing order, i and its pairs (j, n) with
+        j > i and t_j = n t_i for an integer n >= 2, j increasing."""
+        keys = self._keys
+        for i, b in enumerate(keys):
+            pairs = [(j, n) for j in range(i + 1, len(keys)) if (n := self._quotient(keys[j], b)) is not None]
+            if pairs:
+                yield i, pairs
 
     def __len__(self):
         return len(self.ticks)
@@ -149,6 +217,15 @@ class LevyValidationReport:
 
 @dataclass(frozen=True)
 class LevyPath:
+    """Marginals on a timeline, and the generator that made them.
+
+    generator["weights"] is the jump measure's read-only float array when
+    levy_from_root or levy_from_exponential built the path, or a path file
+    held the weights as a list of floats, as export_path writes them; a
+    hand-written file's other value, a list of integers say, stays the list
+    it decoded to. Compare generators with np.array_equal on that field.
+    """
+
     timeline: Timeline
     marginals: tuple[Measure, ...]
     generator: dict
@@ -192,60 +269,16 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
     return LevyPath(timeline, tuple(marginals), generator)
 
 
-def _tick_pairs(timeline: Timeline) -> tuple[list, list]:
-    """The tick pairs validation checks, each list in lexicographic order:
-    (i, j, k) with i <= j and t_i + t_j = t_k, and (i, j, n) with i < j and
-    t_j = n * t_i for an integer n >= 2.
-
-    Exact ticks are compared as integer numerators over their common
-    denominator, which is what locate and ratio decide on fractions, without
-    a Fraction sum or quotient per pair; sampled ticks go through locate and
-    ratio, within TICK_MATCH_TOL.
-    """
-    ticks = timeline.ticks
-    if timeline.kind == SAMPLES:
-        def at(i, j):
-            return timeline.locate(ticks[i] + ticks[j])
-
-        def times(i, j):
-            return timeline.ratio(ticks[j], ticks[i])
-    else:
-        denominator = math.lcm(*(Fraction(t).denominator for t in ticks))
-        nums = [int(t * denominator) for t in ticks]
-        position = {v: k for k, v in enumerate(nums)}
-
-        def at(i, j):
-            return position.get(nums[i] + nums[j])
-
-        def times(i, j):
-            n, rest = divmod(nums[j], nums[i]) if nums[i] > 0 else (0, 1)
-            return n if n >= 2 and rest == 0 else None
-
-    size = len(ticks)
-    increments = [(i, j, k) for i in range(size) for j in range(i, size) if (k := at(i, j)) is not None]
-    divisions = [(i, j, n) for i in range(size) for j in range(i + 1, size) if (n := times(i, j)) is not None]
-    return increments, divisions
-
-
-def _tv_to_targets(raw: np.ndarray, targets: np.ndarray) -> list[float]:
-    """Total variation of each row of targets from its row of raw products,
-    normalised as convolve and conv_powers do and measured as tv_distance
-    does, so each value has the bits of the public calls."""
-    totals = np.array([math.fsum(row) for row in raw.tolist()])
-    diffs = np.abs(targets - raw / totals[:, None])
-    return [min(1.0, 0.5 * math.fsum(row)) for row in diffs.tolist()]
-
-
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
-    The tick pairs are listed once (_tick_pairs). The increments are taken
-    per right factor X(t), all its left factors X(s) in one stack
-    (measures._products_raw), and the powers per marginal from one chain of
-    squares; every value has the bits of tv_distance(X(s + t), convolve(X(s),
-    X(t))) and of tv_distance(conv_power(X(s), n), X(n s)). The scan then
-    runs in increasing lexicographic order and keeps the first occurrence
-    of the worst violation, so reports are deterministic.
+    The increments are taken per right factor X(t), all its left factors
+    X(s) in one stack (measures._products_raw), and the powers per marginal
+    from one chain of squares; every value has the bits of tv_distance(X(s +
+    t), convolve(X(s), X(t))) and of tv_distance(conv_power(X(s), n), X(n s)).
+    The worst violation is kept as it is found, the first in lexicographic
+    order among equals, so reports are deterministic, and memory stays in
+    proportion to the ticks, not to the pairs.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
@@ -255,39 +288,35 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     cert = certificate_of(path.structure)
     start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))
     weights = np.array([mu.weights for mu in path.marginals])
-    increments, divisions = _tick_pairs(path.timeline)
 
-    by_right = defaultdict(list)  # right factor j -> its pairs (i, k)
-    for i, j, k in increments:
-        by_right[j].append((i, k))
-    inc_values = {}
-    for j, pairs in by_right.items():
+    inc_worst, increments_checked = None, 0  # inc_worst: (-value, i, j)
+    for j, pairs in path.timeline.increments():
         left, sums = map(list, zip(*pairs))
         raw = _products_raw(cert, weights[left], weights[j])
-        inc_values.update(zip(((i, j) for i in left), _tv_to_targets(raw, weights[sums])))
-    worst_inc, inc_at = 0.0, None
-    for i, j, _ in increments:
-        v = inc_values[i, j]
-        if v > worst_inc:
-            worst_inc, inc_at = v, (float(ticks[i]), float(ticks[j]))
+        for i, target, product in zip(left, weights[sums], raw):
+            v = _tv_raw(target, _normalised(product))
+            if v > 0 and (inc_worst is None or (-v, i, j) < inc_worst):
+                inc_worst = (-v, i, j)
+        increments_checked += len(pairs)
 
-    worst_div, div_at = 0.0, None
-    for i, group in groupby(divisions, key=lambda d: d[0]):
-        group = list(group)
-        raw = np.array(_powers_raw(cert, weights[i], [n for _, _, n in group]))
-        for (_, j, n), v in zip(group, _tv_to_targets(raw, weights[[j for _, j, _ in group]])):
-            if v > worst_div:
-                worst_div, div_at = v, (float(ticks[j]), n)
+    div_worst, div_at, divisions_checked = 0.0, None, 0
+    for i, pairs in path.timeline.divisions():
+        powers = _powers_raw(cert, weights[i], [n for _, n in pairs])
+        for (j, n), power in zip(pairs, powers):
+            v = _tv_raw(_normalised(power), weights[j])
+            if v > div_worst:
+                div_worst, div_at = v, (float(ticks[j]), n)
+        divisions_checked += len(pairs)
 
     return LevyValidationReport(
         tol=float(tol),
         start_error=start_error,
-        worst_increment=worst_inc,
-        increment_at=inc_at,
-        increments_checked=len(increments),
-        worst_division=worst_div,
+        worst_increment=0.0 if inc_worst is None else -inc_worst[0],
+        increment_at=None if inc_worst is None else (float(ticks[inc_worst[1]]), float(ticks[inc_worst[2]])),
+        increments_checked=increments_checked,
+        worst_division=div_worst,
         division_at=div_at,
-        divisions_checked=len(divisions),
+        divisions_checked=divisions_checked,
     )
 
 

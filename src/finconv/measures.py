@@ -116,15 +116,20 @@ def measure(structure: FiniteStructure, weights) -> Measure:
     return Measure(w / total, structure)
 
 
-def _from_raw(structure: FiniteStructure, w: np.ndarray) -> Measure:
-    """Wrap an internally computed vector, absorbing float fuzz."""
+def _normalised(w: np.ndarray) -> np.ndarray:
+    """An internally computed vector over its exactly rounded total, float
+    fuzz below 0 clamped: the weights _from_raw wraps."""
     low = float(w.min())
     if low < 0.0:
         if low < -_CLAMP:
             raise MeasureError(f"internal weight {low} below the clamp tolerance")
         w = np.maximum(w, 0.0)
-    total = math.fsum(w.tolist())
-    return Measure(w / total, structure)
+    return w / math.fsum(w.tolist())
+
+
+def _from_raw(structure: FiniteStructure, w: np.ndarray) -> Measure:
+    """Wrap an internally computed vector, absorbing float fuzz."""
+    return Measure(_normalised(w), structure)
 
 
 def dirac(structure: FiniteStructure, a: int) -> Measure:
@@ -246,7 +251,8 @@ def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> 
 
 
 def _tv_raw(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * math.fsum(np.abs(a - b).tolist())
+    """tv_distance on two weight vectors."""
+    return min(1.0, 0.5 * math.fsum(np.abs(a - b).tolist()))
 
 
 # --- public operations ----------------------------------------------------
@@ -371,7 +377,7 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
 def tv_distance(mu: Measure, nu: Measure) -> float:
     """Half the L1 distance; equals the largest discrepancy over event sets."""
     _check_pair(mu, nu)
-    return min(1.0, _tv_raw(mu.weights, nu.weights))
+    return _tv_raw(mu.weights, nu.weights)
 
 
 def measure_of_event(mu: Measure, event: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import finconv as fc
 from finconv import fileio
 from finconv.errors import StructureMismatchError, TimelineError
-from finconv.levy import TICK_MATCH_TOL, _tick_pairs
+from finconv.levy import TICK_MATCH_TOL
 from helpers import (
     catalog_monoid,
     iterative_power,
@@ -311,7 +312,17 @@ def timelines(draw):
 @example(fc.make_timeline("samples", [0.25, 0.5 - TICK_MATCH_TOL, 0.5, 0.5 + TICK_MATCH_TOL, 0.75 + TICK_MATCH_TOL]))
 @given(timelines())
 def test_tick_pairs_match_the_per_pair_enumeration(timeline):
-    assert _tick_pairs(timeline) == reference_tick_pairs(timeline)
+    increments = sorted((i, j, k) for j, pairs in timeline.increments() for i, k in pairs)
+    divisions = [(i, j, n) for i, pairs in timeline.divisions() for j, n in pairs]
+    assert (increments, divisions) == reference_tick_pairs(timeline)
+    if timeline.kind != "samples":  # exact ticks, in plain Fraction arithmetic
+        ticks = timeline.ticks
+        index = {t: k for k, t in enumerate(ticks)}
+        span = range(len(ticks))
+        assert increments == [(i, j, index[ticks[i] + ticks[j]]) for i in span for j in span[i:]
+                              if ticks[i] + ticks[j] in index]
+        assert divisions == [(i, j, int(ticks[j] / ticks[i])) for i in span[1:] for j in span[i + 1:]
+                             if (ticks[j] / ticks[i]).denominator == 1]
 
 
 @st.composite
@@ -358,3 +369,19 @@ def test_first_worst_pair_is_reported(path):
     assert report.increment_at == first_worst(values, [(float(ticks[i]), float(ticks[j])) for i, j, _ in increments])
     values = [fc.tv_distance(fc.conv_power(marg[i], n), marg[j]) for i, j, n in divisions]
     assert report.division_at == first_worst(values, [(float(ticks[j]), n) for _, j, n in divisions])
+
+
+def test_validation_memory_stays_with_the_ticks():
+    """The scan keeps only the worst pair so far: at N = 256 on Z8 its 16,641
+    increment pairs, held as Python tuples, would take about 4 MB, while the
+    marginals take 16 KB."""
+    s = catalog_monoid("cyclic", 8, 0, 0)
+    path = fc.levy_from_root(random_measure(s, np.random.default_rng(5)), 256)
+    tracemalloc.start()
+    try:
+        report = fc.validate_levy(path, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.increments_checked == 16641
+    assert peak < 2**20
