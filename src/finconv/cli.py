@@ -223,9 +223,9 @@ def cmd_levy_root(args) -> int:
 def cmd_levy_exp(args) -> int:
     s = _load_certified(args.model)
     nu = fileio.load_measure(args.measure, s)
-    if args.samples:
+    if args.samples is not None:
         timeline = make_timeline("samples", args.samples.split(","))
-    elif args.rationals:
+    elif args.rationals is not None:
         timeline = make_timeline("rationals", args.rationals.split(","))
     else:
         timeline = make_timeline("uniform_grid", args.N)

@@ -26,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConcentrationError, MeasureError, FinconvError, StructureMismatchError
+from .errors import ConcentrationError, MeasureError, FinconvError
 from .measures import (
     _SERIES_MAX_RATE,
     Measure,
+    _check_pair,
+    _check_rate,
     _convolve_raw,
     _correlate_raw,
     _from_raw,
@@ -42,7 +44,7 @@ from .measures import (
     tv_distance,
     uniform,
 )
-from .structures import SemigroupCertificate, certificate_of, same_structure
+from .structures import SemigroupCertificate, certificate_of
 
 VERDICT_EXACT = "exact_within_tol"
 VERDICT_LOCAL = "local_minimum_only"
@@ -137,8 +139,7 @@ def power_gradient(nu: Measure, n: int, target: Measure) -> np.ndarray:
     """
     if n < 1:
         raise MeasureError("gradient needs n >= 1; the 0-th power is constant")
-    if not same_structure(nu.structure, target.structure):
-        raise StructureMismatchError("measures live on different structures")
+    _check_pair(nu, target)
     return _power_objective(certificate_of(nu.structure), target.weights, n)(nu.weights)[2]()
 
 
@@ -379,8 +380,7 @@ def lambda_for(mu: Measure, r: float, K: int) -> Measure:
     """The K-th approximate root (1 + r/K)^(-1) (point mass at 0 + (r/K) mu)."""
     if K < 1:
         raise MeasureError("K must be a positive integer")
-    if not (math.isfinite(r) and r >= 0):
-        raise MeasureError(f"rate must be finite and non-negative, got {r}")
+    _check_rate(r)
     zero = certificate_of(mu.structure).zero
     q = r / K
     return mix([1.0 / (1.0 + q), q / (1.0 + q)], [dirac(mu.structure, zero), mu])
@@ -421,8 +421,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
     """Check the three concentration conditions; failures are reported, not raised."""
     if K < 1:
         raise MeasureError("K must be a positive integer")
-    if not (math.isfinite(r) and r >= 0):
-        raise MeasureError(f"rate must be finite and non-negative, got {r}")
+    _check_rate(r)
     if not (math.isfinite(eps) and eps >= 0):
         raise MeasureError(f"eps must be finite and non-negative, got {eps}")
     ratio = math.exp(r - K * math.log1p(r / K))

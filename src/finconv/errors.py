@@ -31,7 +31,7 @@ class FreeVariableError(FinconvError):
 
 
 class BudgetExceededError(FinconvError):
-    """Quantifier enumeration would exceed the evaluation budget."""
+    """Quantifier enumeration, or a timeline's tick pairs, would exceed the evaluation budget."""
 
 
 class StructureMismatchError(FinconvError):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .errors import ArityError, FormulaSyntaxError, UnknownSymbolError
 
-KEYWORDS = frozenset({"forall", "exists"})
 MAX_NESTING = 100
 
 
@@ -115,7 +114,10 @@ class ExistsUnique(Formula):
     body: Formula
 
 
-QUANTIFIERS = (Forall, Exists, ExistsUnique)
+_QUANTIFIER_NODES = {"forall": Forall, "exists": Exists, "exists!": ExistsUnique}  # spelling -> node
+_SPELLINGS = {node: word for word, node in _QUANTIFIER_NODES.items()}
+QUANTIFIERS = tuple(_SPELLINGS)
+KEYWORDS = frozenset(word.rstrip("!") for word in _QUANTIFIER_NODES)
 
 
 def _term_vars(t: Term, out: set[str]) -> None:
@@ -279,11 +281,9 @@ class _Parser:
         return self.implication()
 
     def quantified(self) -> Formula:
-        kw = self.next()
-        unique = False
-        if kw.value == "exists" and self.peek().kind == "BANG":
-            self.next()
-            unique = True
+        spelling = self.next().value
+        if spelling + "!" in _QUANTIFIER_NODES and self.peek().kind == "BANG":
+            spelling += self.next().value
         var_tok = self.expect("IDENT", "a variable name")
         name = var_tok.value
         if name in KEYWORDS:
@@ -300,9 +300,7 @@ class _Parser:
         self.bound.append(name)
         body = self.nested(dot, self.formula)
         self.bound.pop()
-        if kw.value == "forall":
-            return Forall(name, body)
-        return ExistsUnique(name, body) if unique else Exists(name, body)
+        return _QUANTIFIER_NODES[spelling](name, body)
 
     def implication(self) -> Formula:
         left = self.disjunction()
@@ -414,14 +412,8 @@ def _print_term(t: Term) -> str:
 
 def _render(f: Formula, level: int) -> str:
     # levels: 0 formula, 1 impl, 2 disj, 3 conj, 4 neg/atom
-    if isinstance(f, Forall):
-        s = f"forall {f.var}. {_render(f.body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(f, Exists):
-        s = f"exists {f.var}. {_render(f.body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(f, ExistsUnique):
-        s = f"exists! {f.var}. {_render(f.body, 0)}"
+    if isinstance(f, QUANTIFIERS):
+        s = f"{_SPELLINGS[type(f)]} {f.var}. {_render(f.body, 0)}"
         return f"({s})" if level > 0 else s
     if isinstance(f, Implies):
         s = f"{_render(f.left, 2)} -> {_render(f.right, 1)}"

@@ -16,13 +16,12 @@ sharing changes the cost, not the numbers.
 
 Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
-the increments of one right factor X(t) together. On a group they are one
-product of the stack of left factors with X(t)'s multiplication operator,
-which keeps the kernel's bits there; on other monoids the operator adds
-weights before multiplying and would move the last bits of a report, so
-each pair takes its own kernel call. The scan keeps only the worst pair
-so far, so its memory grows with the ticks, not with the pairs, and every
-report is the one the per-pair scan gives.
+the increments of one right factor X(t) together, as one stack of left
+factors (measures._products_raw, with the bits its contract states). The
+scan keeps only the worst pair so far, so its memory grows with the ticks,
+not with the pairs, and every report is the one the per-pair scan gives.
+A timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
+lists stay within EVAL_BUDGET.
 
 A generator holds its jump measure's weights as that measure's read-only
 array, 8 bytes a weight, and is written as the list of those floats.
@@ -39,10 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MeasureError, StructureMismatchError, TimelineError
+from .errors import BudgetExceededError, MeasureError, StructureMismatchError, TimelineError
 from .measures import (
     SUM_TOL,
     Measure,
+    _check_pair,
+    _check_rate,
     _normalised,
     _powers_raw,
     _products_raw,
@@ -52,13 +53,19 @@ from .measures import (
     dirac,
     tv_distance,
 )
-from .structures import certificate_of, same_structure
+from .structures import EVAL_BUDGET, certificate_of, same_structure
 
 TICK_MATCH_TOL = 1e-12  # absolute slack when matching real-valued ticks
+MAX_TICKS = math.isqrt(4 * EVAL_BUDGET)  # validation visits about T^2 / 4 tick pairs
 
 UNIFORM_GRID = "uniform_grid"
 RATIONALS = "rationals"
 SAMPLES = "samples"
+
+
+def _check_tick_count(count: int) -> None:
+    if count > MAX_TICKS:
+        raise BudgetExceededError(f"{count} ticks exceed the budget of {MAX_TICKS} ticks per timeline")
 
 
 @dataclass(frozen=True)
@@ -72,11 +79,15 @@ class Timeline:
     Matching works on keys: an exact value scaled by the ticks' common
     denominator, so that every tick's key is an integer numerator and the
     tick pairs a path's validation checks need integer sums and quotients
-    only; a sampled value is its own key.
+    only; a sampled value is its own key. A key is looked up by bisection,
+    within slack 0 for exact keys and TICK_MATCH_TOL for sampled ones.
     """
 
     kind: str
     ticks: tuple
+
+    def __post_init__(self):
+        _check_tick_count(len(self.ticks))
 
     @cached_property
     def _scale(self) -> int:  # exact kinds only
@@ -88,10 +99,6 @@ class Timeline:
             return self.ticks
         return tuple(int(t * self._scale) for t in self.ticks)
 
-    @cached_property
-    def _positions(self) -> dict:
-        return {k: i for i, k in enumerate(self._keys)}
-
     def _key(self, value):
         if self.kind == SAMPLES:
             return float(value)
@@ -101,12 +108,11 @@ class Timeline:
             return None
 
     def _find(self, key) -> int | None:
-        if self.kind == SAMPLES:
-            i = bisect_left(self._keys, key - TICK_MATCH_TOL)
-            if i < len(self._keys) and abs(self._keys[i] - key) <= TICK_MATCH_TOL:
-                return i
-            return None
-        return self._positions.get(key)
+        slack = TICK_MATCH_TOL if self.kind == SAMPLES else 0
+        i = bisect_left(self._keys, key - slack)
+        if i < len(self._keys) and abs(self._keys[i] - key) <= slack:
+            return i
+        return None
 
     def _quotient(self, a, b) -> int | None:
         if b <= 0:
@@ -169,13 +175,19 @@ def make_timeline(kind: str, params) -> Timeline:
     """Build a timeline: uniform_grid(N), rationals(list), or samples(list).
 
     N (an integer, or an integral float) and the ticks may be given as text.
+    N + 1, or the number of ticks given, is held to MAX_TICKS before any
+    tick is built.
     """
     if kind == UNIFORM_GRID:
         size = _parsed(Fraction, params, "grid size")
         if size.denominator != 1 or size < 1:
             raise TimelineError(f"uniform grid needs an integer N >= 1, got {params!r}")
         n = int(size)
+        _check_tick_count(n + 1)
         return Timeline(UNIFORM_GRID, tuple(Fraction(k, n) for k in range(n + 1)))
+    if kind in (RATIONALS, SAMPLES):
+        params = list(params)
+        _check_tick_count(len(params))
     if kind == RATIONALS:
         ticks = {Fraction(0), Fraction(1)}
         for p in params:
@@ -258,6 +270,7 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
 
     Each marginal is bit-identical to conv_exp(nu, t*r, tol).
     """
+    _check_rate(float(r))
     marginals = conv_exps(nu, [float(t) * float(r) for t in timeline.ticks], tol)
     generator = {
         "kind": "exponential",
@@ -273,17 +286,18 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
     The increments are taken per right factor X(t), all its left factors
-    X(s) in one stack (measures._products_raw), and the powers per marginal
-    from one chain of squares; every value has the bits of tv_distance(X(s +
-    t), convolve(X(s), X(t))) and of tv_distance(conv_power(X(s), n), X(n s)).
-    The worst violation is kept as it is found, the first in lexicographic
-    order among equals, so reports are deterministic, and memory stays in
-    proportion to the ticks, not to the pairs.
+    X(s) in one stack, and the powers per marginal from one chain of
+    squares; each value is tv_distance(X(s + t), convolve(X(s), X(t))) or
+    tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
+    module's contract states. The worst violation is kept as it is found,
+    the first in lexicographic order among equals, so reports are
+    deterministic, and memory stays in proportion to the ticks, not to the
+    pairs.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
-    if not all(same_structure(mu.structure, path.structure) for mu in path.marginals):
-        raise StructureMismatchError("measures live on different structures")
+    for mu in path.marginals:
+        _check_pair(path.marginals[0], mu)
     ticks = path.timeline.ticks
     cert = certificate_of(path.structure)
     start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))

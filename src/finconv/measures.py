@@ -15,10 +15,19 @@ Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C
 through np.bincount in a fixed order, whose worst-case error m^2 * eps
-stays far inside every tolerance asserted at desk scale. The series
-chain multiplies by the jump measure's operator instead (below): on a
-group its bits are the bincount's, and on other monoids they may differ
-in the last place.
+stays far inside every tolerance asserted at desk scale.
+
+Bits contract: the series chain (_series_raw) and validation's products
+(_products_raw) multiply by a measure's right-multiplication operator
+op[x, z] = sum of w(y) over x + y = z (_right_operator), built with one
+bincount, so that a step is an (m,) by (m, m) product rather than an m^2
+scatter. On a group each cell of op holds a single w(y), and the product
+adds a[x] * w(y) over x in the order the bincount does, so the bits are
+the kernel's. Where one row sends several y to the same sum (chains,
+products with a chain) op adds those weights before multiplying, which
+moves a result by at most m * eps in total variation: the series accepts
+that, while _products_raw takes the operator on a group only, so that
+validation reports keep the kernel's bits on every monoid.
 
 Shared power chains: the series for many rates stores one chain of
 powers mu^(0*), mu^(1*), ..., as long as the largest rate needs. Powers
@@ -26,28 +35,14 @@ for many exponents, and conv_exp's squarings at large rates, share one
 set of squares mu^(2^j) and one memo of products keyed by low exponent
 bits (_powers_raw); every 32nd square is renormalised against the drift
 of its mass, so exponents below 2^32 and rates up to 2^29 keep their
-bits. Each chain step multiplies by mu's right-multiplication operator
-op[x, z] = sum of mu(y) over x + y = z, built once per series with one
-bincount, so a step is an (m,) by (m, m) product rather than an m^2
-scatter. On a group each cell of op holds a single mu(y), and the
-product adds a[x] * mu(y) over x in the order the bincount does, so the
-bits are the kernel's; where one row sends several y to the same sum
-(chains, products with a chain) op adds those weights before
-multiplying, which moves a power by at most m * eps in total variation.
-Each rate sums its own Poisson weights over the head of the chain with
-the compensated accumulator that mixtures use, and each exponent
+bits. Each rate sums its own Poisson weights over the head of the chain
+with the compensated accumulator that mixtures use, and each exponent
 multiplies its squares in the same bit order, so every result has the
 bits of its single call; the kernels are deterministic, and a shared
 intermediate is the same array a separate call would have built. The
 stored chain costs O(L * m) memory for the L = r + O(sqrt(r)) terms of
 the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at r = 700
 and 293 at r = 200.
-
-_products_raw multiplies a stack of left factors by one right factor, as
-validate_levy does for the tick pairs that share one. It takes that
-operator on a group only: there one bincount serves the whole stack and
-the bits are the kernel's, while on other monoids the operator would move
-the last bits of validation reports, so each row keeps its kernel call.
 
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
@@ -97,6 +92,12 @@ def _check_pair(mu: Measure, nu: Measure) -> None:
         raise StructureMismatchError("measures live on different structures")
 
 
+def _check_rate(r) -> None:
+    """The one rule for a rate: finite and non-negative."""
+    if not (math.isfinite(r) and r >= 0):
+        raise MeasureError(f"rate must be finite and non-negative, got {r}")
+
+
 def measure(structure: FiniteStructure, weights) -> Measure:
     """Validate a weight vector and renormalize it onto the simplex."""
     try:
@@ -105,20 +106,18 @@ def measure(structure: FiniteStructure, weights) -> Measure:
         raise MeasureError(f"weights must be numbers: {exc}") from exc
     if w.shape != (structure.size,):
         raise MeasureError(f"expected {structure.size} weights, got shape {w.shape}")
-    if (w < 0).any():
-        worst = float(w.min())
-        if worst < -SUM_TOL:
-            raise MeasureError(f"negative weight {worst}")
-        w = np.maximum(w, 0.0)
+    negative = w[w < -SUM_TOL]
+    if negative.size:
+        raise MeasureError(f"negative weight {float(negative.min())}")
     total = math.fsum(w.tolist())
     if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
         raise MeasureError(f"weights sum to {total}, not 1 within {SUM_TOL}")
-    return Measure(w / total, structure)
+    return _from_raw(structure, w)
 
 
 def _normalised(w: np.ndarray) -> np.ndarray:
-    """An internally computed vector over its exactly rounded total, float
-    fuzz below 0 clamped: the weights _from_raw wraps."""
+    """A vector over its exactly rounded total, float fuzz below 0 clamped:
+    the weights _from_raw wraps."""
     low = float(w.min())
     if low < 0.0:
         if low < -_CLAMP:
@@ -128,7 +127,7 @@ def _normalised(w: np.ndarray) -> np.ndarray:
 
 
 def _from_raw(structure: FiniteStructure, w: np.ndarray) -> Measure:
-    """Wrap an internally computed vector, absorbing float fuzz."""
+    """Wrap a vector, absorbing float fuzz."""
     return Measure(_normalised(w), structure)
 
 
@@ -232,14 +231,9 @@ def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
 
 def _products_raw(cert: SemigroupCertificate, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each row of the stack (B, m) times w, with the bits of _convolve_raw
-    on that row.
-
-    On a group this is one product with w's operator: each operator cell
-    holds a single weight, and the product adds a[x] * w[y] over x in the
-    bincount's order. Elsewhere the operator would add weights before
-    multiplying and move the last bits, so each row takes its own
-    _convolve_raw call (the stacked bincount is slower per row at m = 256).
-    """
+    on that row (the module's bits contract): one product with w's operator
+    on a group, elsewhere one _convolve_raw call per row (the stacked
+    bincount is slower per row at m = 256)."""
     if cert.is_group:
         return np.einsum("ix,xz->iz", stack, _right_operator(cert, w))
     return np.array([_convolve_raw(cert, a, w) for a in stack])
@@ -316,8 +310,7 @@ def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
     The chain w^(0*), w^(1*), ... is built once, as long as the longest
     list of Poisson terms (_poisson_terms) needs, each power from the last
     by one product with w's operator (_right_operator), built once per
-    call. On a group the powers carry the bits of _convolve_raw; on other
-    monoids they may differ from it in the last place. Each rate then sums
+    call, whose bits the module's bits contract states. Each rate then sums
     its own terms over the head of the chain with _compensated_accumulate,
     the same loop a single rate runs, so it keeps the bits of its single
     call.
@@ -361,8 +354,7 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
     """
     rates = [float(r) for r in rates]
     for r in rates:
-        if not math.isfinite(r) or r < 0:
-            raise MeasureError(f"rate must be finite and non-negative, got {r}")
+        _check_rate(r)
     if not (math.isfinite(tol) and tol > 0):
         raise MeasureError(f"tolerance must be finite and positive, got {tol}")
     cert = certificate_of(mu.structure)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import fileio
-from finconv.errors import StructureMismatchError, TimelineError
-from finconv.levy import TICK_MATCH_TOL
+from finconv.errors import BudgetExceededError, MeasureError, StructureMismatchError, TimelineError
+from finconv.levy import MAX_TICKS, TICK_MATCH_TOL
+from finconv.structures import EVAL_BUDGET
 from helpers import (
     catalog_monoid,
     iterative_power,
@@ -278,6 +279,52 @@ def test_timeline_ticks_given_as_text(c2):
             fc.make_timeline(kind, params)
     with pytest.raises(TimelineError):
         fc.levy_from_root(fc.dirac(c2, 1), 0)
+
+
+def test_timeline_is_refused_past_the_tick_budget_before_it_is_built(c2):
+    assert MAX_TICKS == 20_000 and MAX_TICKS**2 // 4 == EVAL_BUDGET
+    over = f"ticks exceed the budget of {MAX_TICKS} ticks per timeline$"
+    tracemalloc.start()
+    try:
+        for n in (10**12, MAX_TICKS):  # N + 1 ticks
+            with pytest.raises(BudgetExceededError, match=over):
+                fc.make_timeline("uniform_grid", n)
+            with pytest.raises(BudgetExceededError, match=over):
+                fc.levy_from_root(fc.dirac(c2, 1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert len(fc.make_timeline("uniform_grid", MAX_TICKS - 1)) == MAX_TICKS
+    # a tick list is counted as given, and again once the endpoints are added
+    interior = [k / (MAX_TICKS + 1) for k in range(1, MAX_TICKS + 1)]
+    for kind in ("rationals", "samples"):
+        with pytest.raises(BudgetExceededError, match=f"^{MAX_TICKS + 1} {over}"):
+            fc.make_timeline(kind, ["1/2"] * (MAX_TICKS + 1))
+    with pytest.raises(BudgetExceededError, match=f"^{MAX_TICKS + 2} {over}"):
+        fc.make_timeline("samples", interior)
+    assert len(fc.make_timeline("samples", interior[:-2])) == MAX_TICKS
+    # a path CSV's rows become a timeline under the same rule
+    rows = [f"{k / MAX_TICKS!r},1,0" for k in range(MAX_TICKS + 1)]
+    with pytest.raises(BudgetExceededError, match=f"^{MAX_TICKS + 1} {over}"):
+        fc.parse_path_csv("\n".join(rows), c2)
+
+
+def test_every_rate_is_read_by_one_rule(c2):
+    mu = fc.dirac(c2, 1)
+    timeline = fc.make_timeline("uniform_grid", 16)
+    for r in (-1.0, math.inf, math.nan):
+        message = f"^rate must be finite and non-negative, got {r}$"
+        checks = [
+            lambda: fc.conv_exp(mu, r, 1e-9),
+            lambda: fc.lambda_for(mu, r, 4),
+            lambda: fc.check_concentration(mu, mu, r, 4, 1e-3),
+            # the path's rate itself, not the first tick's t * r
+            lambda: fc.levy_from_exponential(mu, r, timeline, 1e-9),
+        ]
+        for check in checks:
+            with pytest.raises(MeasureError, match=message):
+                check()
 
 
 

@@ -4,11 +4,13 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
 from finconv.errors import MeasureError, NotCertifiedError, StructureMismatchError
-from finconv.measures import _series_raw, _squaring_raw
+from finconv.measures import SUM_TOL, _series_raw, _squaring_raw
 from finconv.structures import certificate_of
 from helpers import (
     certified,
@@ -53,6 +55,58 @@ def test_measure_validation(c2):
         fc.measure(c2, [0.7, 0.2])
     mu = fc.measure(c2, [0.5 + 2e-10, 0.5])
     assert math.fsum(mu.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+
+
+def former_measure(weights):
+    """measure()'s weights, or its error message, as it clamped and divided
+    on its own before it returned through the normaliser internal results use."""
+    w = np.array(weights, dtype=np.float64)
+    if (w < 0).any():
+        worst = float(w.min())
+        if worst < -SUM_TOL:
+            return f"negative weight {worst}"
+        w = np.maximum(w, 0.0)
+    total = math.fsum(w.tolist())
+    if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
+        return f"weights sum to {total}, not 1 within {SUM_TOL}"
+    return (w / total).tobytes()
+
+
+def measure_outcome(s, weights):
+    try:
+        return fc.measure(s, weights).weights.tobytes()
+    except MeasureError as exc:
+        return str(exc)
+
+
+SPECIAL_WEIGHTS = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1 + 1e-9, 2e-10, -0.5, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL_WEIGHTS) | st.floats(0, 1), min_size=4, max_size=4))
+def test_measure_keeps_its_former_bits_and_messages(weights):
+    # two readings differ by design: a NaN no longer hides a negative weight
+    # from the negativity check, and a weight in [-SUM_TOL, 0) is now summed
+    # before the normaliser clamps it (the test below)
+    assume(not (any(math.isnan(w) for w in weights) and any(w < 0 for w in weights)))
+    s = catalog.cyclic_group(4)
+    assert measure_outcome(s, weights) == former_measure(weights)
+
+
+def test_measure_clamps_fuzz_to_its_former_bits(c2):
+    rng = np.random.default_rng(16)
+    s = catalog.cyclic_group(5)
+    for _ in range(200):
+        w = rng.dirichlet(np.ones(5))
+        k, fuzz = rng.integers(5), rng.uniform(0, SUM_TOL / 4)
+        w[(k + 1) % 5] += w[k] + fuzz  # moves w[k]'s mass, so the sum stays 1
+        w[k] = -fuzz
+        outcome = measure_outcome(s, w)
+        assert isinstance(outcome, bytes) and outcome == former_measure(w)
+    for weights in ([-SUM_TOL, 1.0], [1.0, -0.0], [0.5 + SUM_TOL / 2, 0.5 - SUM_TOL / 4]):
+        assert measure_outcome(c2, weights) == former_measure(weights)
+    # a negative weight is reported even where a NaN sits beside it
+    assert measure_outcome(c2, [math.nan, -1.0]) == "negative weight -1.0"
 
 
 def test_mix_examples(c2):

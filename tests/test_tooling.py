@@ -28,3 +28,26 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
+
+
+PASSING_XFAIL = """
+import pytest
+
+
+@pytest.mark.xfail(reason="pins a known fault")
+def test_pinned():
+    assert True
+"""
+
+
+def test_an_xfail_that_passes_fails_the_run(tmp_path):
+    (tmp_path / "test_pin.py").write_text(PASSING_XFAIL)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_pin.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "XPASS(strict)" in proc.stdout
