@@ -376,13 +376,21 @@ def is_infinitely_divisible(target: Measure, n_max: int, cfg: SolverConfig | Non
 
 # --- compound-Bernoulli approximation of the exponential --------------------
 
-def lambda_for(mu: Measure, r: float, K: int) -> Measure:
-    """The K-th approximate root (1 + r/K)^(-1) (point mass at 0 + (r/K) mu)."""
+def _rate_per_factor(r: float, K: int) -> float:
+    """q = r/K, the rate each of K factors carries, for K >= 1 and a rate r."""
     if K < 1:
         raise MeasureError("K must be a positive integer")
     _check_rate(r)
+    try:
+        return r / K
+    except OverflowError as exc:  # an int past the float range
+        raise MeasureError(f"K has {len(str(K))} digits, past the float range") from exc
+
+
+def lambda_for(mu: Measure, r: float, K: int) -> Measure:
+    """The K-th approximate root (1 + r/K)^(-1) (point mass at 0 + (r/K) mu)."""
+    q = _rate_per_factor(r, K)
     zero = certificate_of(mu.structure).zero
-    q = r / K
     return mix([1.0 / (1.0 + q), q / (1.0 + q)], [dirac(mu.structure, zero), mu])
 
 
@@ -403,33 +411,36 @@ def extract_jump(lam: Measure, r: float, K: int) -> Measure:
     """
     if not (math.isfinite(r) and r > 0):
         raise MeasureError(f"rate must be finite and positive, got {r}")
-    if K < 1:
-        raise MeasureError("K must be a positive integer")
+    q = _rate_per_factor(r, K)
+    scale = 1.0 + K / r
+    if scale == math.inf:  # inf * 0 would turn the weights at 0 into nan
+        raise MeasureError(f"rate {r} is too small for K = {K}: the jump weights' scale 1 + K/r overflows")
     zero = certificate_of(lam.structure).zero
-    q = r / K
     required = 1.0 / (1.0 + q)
     deficit = required - float(lam.weights[zero])
     if deficit > 1e-12:
         raise ConcentrationError(deficit)
-    w = (1.0 + K / r) * lam.weights
+    w = scale * lam.weights
     w[zero] = 0.0
     w[zero] = max(0.0, 1.0 - math.fsum(w.tolist()))
     return _from_raw(lam.structure, w)
 
 
 def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float) -> ConcentrationReport:
-    """Check the three concentration conditions; failures are reported, not raised."""
-    if K < 1:
-        raise MeasureError("K must be a positive integer")
-    _check_rate(r)
+    """Check the three concentration conditions; failures are reported, not
+    raised. A ratio exp(r) / (1 + r/K)^K past the float range is refused."""
+    q = _rate_per_factor(r, K)
     if not (math.isfinite(eps) and eps >= 0):
         raise MeasureError(f"eps must be finite and non-negative, got {eps}")
-    ratio = math.exp(r - K * math.log1p(r / K))
+    try:
+        ratio = math.exp(r - K * math.log1p(q))
+    except OverflowError as exc:
+        raise MeasureError(f"the ratio exp(r) / (1 + r/K)^K overflows a float at r = {r}, K = {K}") from exc
     scalar = ConditionCheck("exp_ratio_near_one", abs(ratio - 1.0), float(eps), abs(ratio - 1.0) <= eps)
     event_err = tv_distance(mu, conv_power(lam, K))
     events = ConditionCheck("event_error_within_inverse_K", event_err, 1.0 / K, event_err <= 1.0 / K)
     zero = certificate_of(lam.structure).zero
-    required = 1.0 / (1.0 + r / K)
+    required = 1.0 / (1.0 + q)
     mass = float(lam.weights[zero])
     mass_ok = ConditionCheck("mass_at_zero", mass, required, mass >= required - 1e-12)
     return ConcentrationReport(

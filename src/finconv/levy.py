@@ -17,11 +17,13 @@ sharing changes the cost, not the numbers.
 Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
 the increments of one right factor X(t) together, as one stack of left
-factors (measures._products_raw, with the bits its contract states). The
-scan keeps only the worst pair so far, so its memory grows with the ticks,
-not with the pairs, and every report is the one the per-pair scan gives.
-A timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
+factors (measures._products_raw, with the bits its contract states). A
+timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
 lists stay within EVAL_BUDGET.
+
+The worst-pair rule (_worst): a path report names the largest gap above
+0 and, among equal gaps, the smallest key, tick indices (i, j) or k. Gaps
+are scored as they come, so memory grows with the ticks, not the pairs.
 
 A generator holds its jump measure's weights as that measure's read-only
 array, 8 bytes a weight, and is written as the list of those floats.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,7 +165,17 @@ class Timeline:
 
 
 def _parsed(convert, value, what: str):
-    """The one reading of a timeline's numbers: a number or its text, never a boolean."""
+    """The one reading of a timeline's numbers: a number or its text, never a
+    boolean. A text's decimal exponent is held to the digit limit of int()
+    before conversion, as Fraction builds 10**exponent before any range check."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7 added the limit
+    if isinstance(value, str) and limit:
+        try:
+            exponent = abs(int(value.lower().partition("e")[2]))
+        except ValueError:  # no exponent that either converter reads
+            exponent = 0
+        if exponent > limit:
+            raise TimelineError(f"{what} {value!r} has a decimal exponent past {limit}")
     if not isinstance(value, (bool, np.bool_)):
         try:
             return convert(value)
@@ -189,13 +202,17 @@ def make_timeline(kind: str, params) -> Timeline:
         params = list(params)
         _check_tick_count(len(params))
     if kind == RATIONALS:
-        ticks = {Fraction(0), Fraction(1)}
+        given = {Fraction(0): 0, Fraction(1): 1}  # each tick and its text
         for p in params:
             f = _parsed(Fraction, p, "tick")
             if not 0 <= f <= 1:
                 raise TimelineError(f"tick {p} outside [0, 1]")
-            ticks.add(f)
-        return Timeline(RATIONALS, tuple(sorted(ticks)))
+            given.setdefault(f, p)
+        ticks = sorted(given)
+        for s, t in zip(ticks, ticks[1:]):
+            if float(s) == float(t):  # a path file writes each tick as its float
+                raise TimelineError(f"ticks {given[s]} and {given[t]} are the same float {float(s)!r}")
+        return Timeline(RATIONALS, tuple(ticks))
     if kind == SAMPLES:
         values = [_parsed(float, p, "tick") for p in params]
         if not values:
@@ -282,6 +299,16 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
     return LevyPath(timeline, tuple(marginals), generator)
 
 
+def _worst(scored) -> tuple[float, object, int]:
+    """The module's worst-pair rule over (gap, key) items: (gap, key or None, items scored)."""
+    worst, at, count = 0.0, None, 0
+    for gap, key in scored:
+        count += 1
+        if gap > worst or (gap == worst > 0 and key < at):
+            worst, at = gap, key
+    return worst, at, count
+
+
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
@@ -289,10 +316,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     X(s) in one stack, and the powers per marginal from one chain of
     squares; each value is tv_distance(X(s + t), convolve(X(s), X(t))) or
     tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
-    module's contract states. The worst violation is kept as it is found,
-    the first in lexicographic order among equals, so reports are
-    deterministic, and memory stays in proportion to the ticks, not to the
-    pairs.
+    module's contract states; worst pairs follow the module's worst-pair rule.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
@@ -303,33 +327,24 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))
     weights = np.array([mu.weights for mu in path.marginals])
 
-    inc_worst, increments_checked = None, 0  # inc_worst: (-value, i, j)
-    for j, pairs in path.timeline.increments():
-        left, sums = map(list, zip(*pairs))
-        raw = _products_raw(cert, weights[left], weights[j])
-        for i, target, product in zip(left, weights[sums], raw):
-            v = _tv_raw(target, _normalised(product))
-            if v > 0 and (inc_worst is None or (-v, i, j) < inc_worst):
-                inc_worst = (-v, i, j)
-        increments_checked += len(pairs)
-
-    div_worst, div_at, divisions_checked = 0.0, None, 0
-    for i, pairs in path.timeline.divisions():
-        powers = _powers_raw(cert, weights[i], [n for _, n in pairs])
-        for (j, n), power in zip(pairs, powers):
-            v = _tv_raw(_normalised(power), weights[j])
-            if v > div_worst:
-                div_worst, div_at = v, (float(ticks[j]), n)
-        divisions_checked += len(pairs)
-
+    worst_increment, inc, increments_checked = _worst(
+        (_tv_raw(weights[k], _normalised(product)), (i, j))
+        for j, pairs in path.timeline.increments()
+        for (i, k), product in zip(pairs, _products_raw(cert, weights[[i for i, _ in pairs]], weights[j]))
+    )
+    worst_division, div, divisions_checked = _worst(
+        (_tv_raw(_normalised(power), weights[j]), (i, j, n))
+        for i, pairs in path.timeline.divisions()
+        for (j, n), power in zip(pairs, _powers_raw(cert, weights[i], [n for _, n in pairs]))
+    )
     return LevyValidationReport(
         tol=float(tol),
         start_error=start_error,
-        worst_increment=0.0 if inc_worst is None else -inc_worst[0],
-        increment_at=None if inc_worst is None else (float(ticks[inc_worst[1]]), float(ticks[inc_worst[2]])),
+        worst_increment=worst_increment,
+        increment_at=None if inc is None else (float(ticks[inc[0]]), float(ticks[inc[1]])),
         increments_checked=increments_checked,
-        worst_division=div_worst,
-        division_at=div_at,
+        worst_division=worst_division,
+        division_at=None if div is None else (float(ticks[div[1]]), div[2]),
         divisions_checked=divisions_checked,
     )
 
@@ -353,17 +368,14 @@ def same_ticks(a: Timeline, b: Timeline) -> bool:
 
 
 def compare_paths(a: LevyPath, b: LevyPath) -> tuple[float, float | None]:
-    """Largest tick-wise total variation between two paths on equal timelines."""
+    """Largest tick-wise total variation between two paths on equal timelines, at
+    its tick by the module's worst-pair rule."""
     if not same_structure(a.structure, b.structure):
         raise StructureMismatchError("paths live on different structures")
     if not same_ticks(a.timeline, b.timeline):
         raise TimelineError("paths have different timelines")
-    worst, at = 0.0, None
-    for k, t in enumerate(a.timeline.ticks):
-        v = tv_distance(a.marginals[k], b.marginals[k])
-        if v > worst:
-            worst, at = v, float(t)
-    return worst, at
+    worst, k, _ = _worst((tv_distance(x, y), k) for k, (x, y) in enumerate(zip(a.marginals, b.marginals)))
+    return worst, None if k is None else float(a.timeline.ticks[k])
 
 
 # --- CSV interchange --------------------------------------------------------

@@ -259,13 +259,8 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 
 def translate(mu: Measure, a: int) -> Measure:
-    """Convolution with the point mass at a, via a single table column."""
-    table = certificate_of(mu.structure).add_table
-    a = int(a)
-    if not 0 <= a < mu.size:
-        raise MeasureError(f"element index {a} outside universe of size {mu.size}")
-    out = np.bincount(table[:, a], weights=mu.weights, minlength=mu.size)
-    return _from_raw(mu.structure, out)
+    """Convolution with the point mass at a."""
+    return convolve(mu, dirac(mu.structure, a))
 
 
 def conv_power(mu: Measure, n: int) -> Measure:

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from finconv.cli import build_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,6 +72,17 @@ def test_every_subcommand_has_help_with_defaults():
         assert "--threads" in proc.stdout
         assert "-o" in proc.stdout
         assert "default" in proc.stdout
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    examples = [line for block in blocks for line in block.splitlines() if line.startswith("finconv ")]
+    assert len(examples) >= 16
+    parser = build_parser()
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0], line
 
 
 def test_verify_pass_and_fail(files):
@@ -601,6 +616,12 @@ def test_out_of_range_numbers_are_input_errors(files, tmp_path):
     _assert_input_error(run_cli("root", c2, mu, "--n", "2", "--seed", "-1"))
     _assert_input_error(run_cli("divisible", c2, mu, "--n-max", "2", "--seed", "-1"))
     _assert_input_error(run_cli("fit-lk", str(files / "j2.json"), str(files / "quarter.json"), "--seed", "-1"))
+    # K-factor overflows: exp(r) / (1 + r/K)^K past the float range, 1 + K/r infinite, K past the float range
+    _assert_input_error(run_cli("concentration", c2, mu, mu, "--r", "800", "--K", "1"))
+    d0 = tmp_path / "d0.json"
+    d0.write_text(json.dumps({"point": 0}))
+    _assert_input_error(run_cli("extract-jump", c2, str(d0), "--r", "5e-324", "--K", "1"))
+    _assert_input_error(run_cli("lambda", c2, mu, "--r", "1", "--K", "1" + "0" * 400))
 
 
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):
@@ -621,6 +642,12 @@ def test_bad_timeline_arguments_are_input_errors(files, tmp_path):
     base = ["levy-exp", str(files / "c2.json"), str(files / "d1.json"), "--r", "1"]
     _assert_input_error(run_cli(*base, "--rationals", "1/2,abc"))
     _assert_input_error(run_cli(*base, "--samples", "0.5,abc"))
+    # rational ticks whose floats coincide, which a path CSV cannot keep apart
+    for ticks in ("1e-400,1/2", "1/3,6004799503160661/18014398509481984"):
+        levy = [*base, "--rationals", ticks, "-o", str(tmp_path / "p.csv"), "--manifest", str(tmp_path / "p.json")]
+        _assert_input_error(run_cli(*levy))
+    # Fraction would build 10**100000000 before any range check
+    _assert_input_error(run_cli(*base, "--rationals", "1e-100000000", timeout=10))
     csv = tmp_path / "grid.csv"
     manifest = tmp_path / "grid.json"
     proc = run_cli(*base, "--N", "4", "-o", str(csv), "--manifest", str(manifest))

@@ -182,6 +182,13 @@ def test_compare_paths_reports_worst_tick(j2):
     assert same == 0.0
 
 
+def test_compare_paths_names_the_first_tick_among_equals(c2):
+    # the powers of the point mass at 1 alternate: TV 1 at ticks 1/8, 3/8, 5/8 and 7/8
+    a = fc.levy_from_root(fc.dirac(c2, 0), 8)
+    b = fc.levy_from_root(fc.dirac(c2, 1), 8)
+    assert fc.compare_paths(a, b) == (1.0, 0.125)
+
+
 # --- CSV ---------------------------------------------------------------------------
 
 def test_export_constant_path(c2):

@@ -209,9 +209,12 @@ def test_translate(c2, j2):
     for _ in range(10):
         s = random_semigroup(rng, max_m=9)
         nu = random_measure(s, rng)
-        a = int(rng.integers(s.size))
-        direct = fc.convolve(nu, fc.dirac(s, a))
-        assert fc.tv_distance(fc.translate(nu, a), direct) <= 1e-15
+        for a in range(s.size):
+            # reference: the bincount of nu's weights over the table column of a
+            column = np.bincount(certificate_of(s).add_table[:, a], weights=nu.weights, minlength=s.size)
+            assert fc.translate(nu, a).weights.tobytes() == (column / math.fsum(column.tolist())).tobytes()
+    with pytest.raises(MeasureError):
+        fc.translate(mu, 2)
 
 
 def test_conv_power_examples(c2, j2):
