@@ -6,8 +6,11 @@ the root's n-th power against the target (total variation is what gets
 certified; the two are equivalent on a fixed finite space and L2 has a
 smooth gradient). Chains under join admit an analytic root through the
 cumulative function, kept as an independent oracle. Small universes
-(m <= 3) also get an exhaustive simplex grid scan whose minimum residual
-backs infeasibility verdicts.
+(m <= 3) also get an exhaustive simplex grid scan, refined around its best
+point. Its smallest residual is reported as lower_bound and decides the
+infeasible verdict, but a residual attained at a grid point bounds the
+least residual from above, not from below: a target that has a root can
+be declared infeasible.
 
 The remaining operations realize the compound-Bernoulli approximation of
 the exponential, the extraction of its jump measure, the concentration
@@ -35,6 +38,7 @@ from .measures import (
     _convolve_raw,
     _correlate_raw,
     _from_raw,
+    _normalised,
     _powers_raw,
     _series_raw,
     conv_exp,
@@ -242,9 +246,9 @@ def _grid_candidates(m, lo, hi, res):
 def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n) -> float:
     """Smallest residual over an exhaustive simplex grid, refined 3 rounds.
 
-    This is grid-evaluated evidence: the reported value is the attained
-    minimum over all scanned points, tightened by shrinking windows around
-    the incumbent.
+    The value is the residual attained at the best scanned point, tightened
+    by shrinking windows around the incumbent. It therefore bounds the least
+    residual over the simplex from above; it is not a lower bound.
     """
     m = target_w.shape[0]
     if m == 1:
@@ -279,8 +283,11 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
     0, uniform, one anchored start per element, then seeded Dirichlet
     draws. The winner is the lexicographic minimum of (residual, restart
     index), so results are deterministic for a fixed seed. For universes of
-    size <= 3 an exhaustive grid scan supplies residual evidence backing an
-    infeasibility verdict.
+    size <= 3, lower_bound is the smaller of the grid scan's least residual
+    (_grid_minimum_residual) and the root's, and a lower_bound of at least
+    100 * tol_residual gives VERDICT_INFEASIBLE. Both are residuals that
+    were attained, so lower_bound is an upper bound on the least residual,
+    and that verdict can be wrong for a target that has a root.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
@@ -453,8 +460,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
 
 def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
     def objective(w):
-        raw = _series_raw(cert, w, [r], tol_exp)[0]
-        e = raw / math.fsum(raw.tolist())
+        e = _normalised(_series_raw(cert, w, [r], tol_exp)[0])
         d = e - target_w
         return (*_residuals(d), lambda: r * _correlate_raw(cert, e, d))
 

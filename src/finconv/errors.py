@@ -9,8 +9,9 @@ class ModelError(FinconvError):
     """A model file or structure definition is malformed."""
 
 
-class FormulaSyntaxError(FinconvError):
-    """Concrete-syntax error, with 1-based line/column of the offending token."""
+class _TokenError(FinconvError):
+    """An error at a formula token, with the token's 1-based line/column
+    kept and appended to the message."""
 
     def __init__(self, message, line, column):
         super().__init__(f"{message} (line {line}, column {column})")
@@ -18,11 +19,15 @@ class FormulaSyntaxError(FinconvError):
         self.column = column
 
 
-class UnknownSymbolError(FinconvError):
+class FormulaSyntaxError(_TokenError):
+    """Concrete-syntax error."""
+
+
+class UnknownSymbolError(_TokenError):
     """A formula uses a symbol the signature does not declare."""
 
 
-class ArityError(FinconvError):
+class ArityError(_TokenError):
     """A symbol is applied with the wrong number of arguments."""
 
 

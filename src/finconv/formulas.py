@@ -21,7 +21,9 @@ variable is a parse error.
 A formula may nest at most MAX_NESTING levels: brackets, negations,
 quantifier bodies, right sides of "->" and argument lists while parsing,
 and the height of the finished syntax tree, so that neither the parser nor
-the recursive walks over the tree can run out of Python stack.
+the recursive evaluation and printing of the tree can run out of Python
+stack. The analyses of a tree (free variables, quantifier depth, height)
+are folds over one iterative traversal, _nodes.
 """
 
 from __future__ import annotations
@@ -120,62 +122,32 @@ QUANTIFIERS = tuple(_SPELLINGS)
 KEYWORDS = frozenset(word.rstrip("!") for word in _QUANTIFIER_NODES)
 
 
-def _term_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, Apply):
-        for a in t.args:
-            _term_vars(a, out)
+def _nodes(f: Formula):
+    """Every node of f's syntax tree, terms included, without recursion, as
+    (node, variables bound above it, quantifiers above it, level); the root
+    is at level 1."""
+    stack = [(f, frozenset(), 0, 1)]
+    while stack:
+        item = node, bound, quantifiers, level = stack.pop()
+        yield item
+        if isinstance(node, QUANTIFIERS):
+            bound, quantifiers = bound | {node.var}, quantifiers + 1
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, (Formula, Term)):
+                    stack.append((child, bound, quantifiers, level + 1))
 
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Set of variable names occurring free in f."""
-    out: set[str] = set()
-
-    def walk(node: Formula, bound: frozenset[str]) -> None:
-        if isinstance(node, RelationAtom):
-            names: set[str] = set()
-            for a in node.args:
-                _term_vars(a, names)
-            out.update(names - bound)
-        elif isinstance(node, EqualityAtom):
-            names = set()
-            _term_vars(node.left, names)
-            _term_vars(node.right, names)
-            out.update(names - bound)
-        elif isinstance(node, Not):
-            walk(node.body, bound)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        else:
-            walk(node.body, bound | {node.var})
-
-    walk(f, frozenset())
-    return frozenset(out)
-
-
-def _height(node) -> int:
-    """Levels of node's syntax tree, terms included, counted without recursion."""
-    height, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        height = max(height, level)
-        for value in vars(node).values():
-            stack.extend((c, level + 1) for c in (value if isinstance(value, tuple) else (value,))
-                         if isinstance(c, (Formula, Term)))
-    return height
+    return frozenset(
+        node.name for node, bound, _, _ in _nodes(f) if isinstance(node, Var) and node.name not in bound
+    )
 
 
 def quantifier_depth(f: Formula) -> int:
     """Maximum nesting depth of quantifiers (drives the evaluation budget)."""
-    if isinstance(f, QUANTIFIERS):
-        return 1 + quantifier_depth(f.body)
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    return 0
+    return max(quantifiers for _, _, quantifiers, _ in _nodes(f))
 
 
 # --- Lexer -------------------------------------------------------------
@@ -270,7 +242,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise FormulaSyntaxError(f"unexpected input {tok.value!r} after formula", tok.line, tok.column)
-        if _height(f) > MAX_NESTING:  # long chains of "&" or "|" nest to the left
+        if max(level for *_, level in _nodes(f)) > MAX_NESTING:  # chains of "&" or "|" nest to the left
             raise self.too_deep(self.tokens[0])
         return f
 
@@ -343,8 +315,9 @@ class _Parser:
                 args = self.arguments()
                 if len(args) != arity:
                     raise ArityError(
-                        f"relation {head.value!r} takes {arity} arguments, got {len(args)} "
-                        f"(line {head.line}, column {head.column})"
+                        f"relation {head.value!r} takes {arity} arguments, got {len(args)}",
+                        head.line,
+                        head.column,
                     )
                 return RelationAtom(head.value, args)
         left = self.term()
@@ -375,14 +348,11 @@ class _Parser:
                     raise FormulaSyntaxError(
                         f"relation {name!r} used as a term", tok.line, tok.column
                     )
-                raise UnknownSymbolError(
-                    f"unknown function symbol {name!r} (line {tok.line}, column {tok.column})"
-                )
+                raise UnknownSymbolError(f"unknown function symbol {name!r}", tok.line, tok.column)
             args = self.arguments()
             if len(args) != arity:
                 raise ArityError(
-                    f"function {name!r} takes {arity} arguments, got {len(args)} "
-                    f"(line {tok.line}, column {tok.column})"
+                    f"function {name!r} takes {arity} arguments, got {len(args)}", tok.line, tok.column
                 )
             return Apply(name, args)
         if name in self.bound:

@@ -325,7 +325,7 @@ def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
     whose series runs at tol / 2^(h+1) as each squaring doubles the error; ldexp never overflows."""
     halvings = math.ceil(math.log2(r) + 2)
     acc = _series_raw(cert, w, [math.ldexp(r, -halvings)], math.ldexp(tol, -halvings - 1))[0]
-    return _powers_raw(cert, acc / math.fsum(acc.tolist()), [1 << halvings])[0]
+    return _powers_raw(cert, _normalised(acc), [1 << halvings])[0]
 
 
 def conv_exp(mu: Measure, r: float, tol: float) -> Measure:

@@ -374,6 +374,8 @@ def evaluate_region(
     plus one row and a block of scratch, not the m**axes cells of the whole
     enumeration.
     """
+    if len(set(grid_vars)) < len(grid_vars):
+        raise FreeVariableError(f"grid variables must be distinct, got {list(grid_vars)}")
     bind, axes = _region_setup(s, f, grid_vars, env)
     if not grid_vars:
         return np.array(_eval_node(f, s, bind, ()), dtype=bool)

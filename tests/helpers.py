@@ -296,6 +296,44 @@ def random_formula(rng, s, free_var="x", max_quant=2, tries=50):
     return fm.EqualityAtom(fm.Var(free_var), fm.Var(free_var))
 
 
+# --- formula analysis reference ------------------------------------------------
+
+def _reference_children(node) -> tuple:
+    if isinstance(node, (fm.Var, fm.Const)):
+        return ()
+    if isinstance(node, (fm.Apply, fm.RelationAtom)):
+        return node.args
+    if isinstance(node, (fm.EqualityAtom, fm.And, fm.Or, fm.Implies)):
+        return (node.left, node.right)
+    return (node.body,)
+
+
+def reference_free_variables(node, bound=frozenset()) -> set[str]:
+    """Free variables by plain recursion: a quantifier binds its variable in
+    its body, a variable below no binder of its name is free."""
+    if isinstance(node, fm.Var):
+        return set() if node.name in bound else {node.name}
+    if isinstance(node, fm.QUANTIFIERS):
+        bound = bound | {node.var}
+    return set().union(*(reference_free_variables(c, bound) for c in _reference_children(node)))
+
+
+def reference_quantifier_depth(node) -> int:
+    """Quantifier nesting by plain recursion over the formula nodes."""
+    if isinstance(node, fm.QUANTIFIERS):
+        return 1 + reference_quantifier_depth(node.body)
+    if isinstance(node, fm.Not):
+        return reference_quantifier_depth(node.body)
+    if isinstance(node, (fm.And, fm.Or, fm.Implies)):
+        return max(reference_quantifier_depth(node.left), reference_quantifier_depth(node.right))
+    return 0
+
+
+def reference_height(node) -> int:
+    """Levels of a syntax tree, terms included, by plain recursion."""
+    return 1 + max(map(reference_height, _reference_children(node)), default=0)
+
+
 # --- lexer reference ----------------------------------------------------------
 
 def reference_tokenize(text: str) -> list[_Token]:

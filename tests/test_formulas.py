@@ -7,7 +7,15 @@ import finconv.formulas as fm
 from finconv import catalog
 from finconv.errors import ArityError, FormulaSyntaxError, UnknownSymbolError
 from finconv.structures import FiniteStructure, FunctionSymbol
-from helpers import certified, random_formula, random_semigroup, reference_tokenize
+from helpers import (
+    certified,
+    random_formula,
+    random_semigroup,
+    reference_free_variables,
+    reference_height,
+    reference_quantifier_depth,
+    reference_tokenize,
+)
 
 # formula text plus every class of character the lexer treats specially:
 # tab, CR, VT, FF, NEL, NBSP and a file separator (spaces that are not
@@ -84,6 +92,37 @@ def test_arity_mismatch(rel2):
         fm.parse_formula("theta(x, y)", rel2)
 
 
+# each error at a token ends its one-line message with the token's position;
+# "theta" is the relation of rel2, "add" the function of Z3
+TOKEN_ERRORS = {
+    "unknown-function": (
+        "rel2", "mystery(x, y) = x", UnknownSymbolError, "unknown function symbol 'mystery' (line 1, column 1)"
+    ),
+    "relation-arity": (
+        "rel2", "theta(x, y)", ArityError, "relation 'theta' takes 3 arguments, got 2 (line 1, column 1)"
+    ),
+    "relation-arity-second-line": (
+        "rel2", "x = y &\n  theta(x)", ArityError, "relation 'theta' takes 3 arguments, got 1 (line 2, column 3)"
+    ),
+    "function-arity": (
+        "z3", "x = y &\n  add(x) = y", ArityError, "function 'add' takes 2 arguments, got 1 (line 2, column 3)"
+    ),
+    "syntax": (
+        "rel2", "\n forall x.  x = = y", FormulaSyntaxError, "expected a term, got '=' (line 2, column 17)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_ERRORS))
+def test_token_errors_name_line_and_column(rel2, name):
+    model, text, error, message = TOKEN_ERRORS[name]
+    s = rel2 if model == "rel2" else certified(catalog.cyclic_group(3))
+    with pytest.raises(error) as err:
+        fm.parse_formula(text, s)
+    assert str(err.value) == message
+    assert message.endswith(f"(line {err.value.line}, column {err.value.column})")
+
+
 def test_relation_as_term_rejected(rel2):
     with pytest.raises(FormulaSyntaxError):
         fm.parse_formula("theta(x, y, z) = x", rel2)
@@ -145,6 +184,58 @@ def test_free_variables_and_depth(rel2):
     f = fm.parse_formula("forall x. exists y. theta(x, y, z) & x = w", rel2)
     assert fm.free_variables(f) == {"z", "w"}
     assert fm.quantifier_depth(f) == 2
+
+
+def _tree(applies, ands):
+    """A quantifier chain "forall a. exists b. exists! c." over an equality
+    whose left side nests `applies` binary applications, under `ands`
+    conjuncts in which a is free; its height is applies + ands + 5."""
+    term = fm.Var("a")
+    for i in range(applies):
+        term = fm.Apply("g", (term, fm.Var("x" if i % 2 else "c")))
+    f = fm.EqualityAtom(term, fm.Var("b"))
+    for cls, var in ((fm.ExistsUnique, "c"), (fm.Exists, "b"), (fm.Forall, "a")):
+        f = cls(var, f)
+    for _ in range(ands):
+        f = fm.And(f, fm.EqualityAtom(fm.Var("y"), fm.Var("a")))
+    return f
+
+
+def _analyses(f):
+    return fm.free_variables(f), fm.quantifier_depth(f), max(level for *_, level in fm._nodes(f))
+
+
+def _reference_analyses(f):
+    return reference_free_variables(f), reference_quantifier_depth(f), reference_height(f)
+
+
+def test_tree_analyses_match_recursive_reference():
+    rng = np.random.default_rng(18)
+    for _ in range(400):
+        s = random_semigroup(rng, max_m=6)
+        f = random_formula(rng, s, max_quant=3)
+        assert _analyses(f) == _reference_analyses(f), fm.pretty_print(f)
+    for applies in (0, 1, 2, 7, 40):
+        for ands in (0, 1, 3):
+            f = _tree(applies, ands)
+            assert _analyses(f) == _reference_analyses(f)
+            assert fm.quantifier_depth(f) == 3
+            free = ({"x"} if applies > 1 else set()) | ({"y", "a"} if ands else set())
+            assert fm.free_variables(f) == free
+            assert fm.free_variables(fm.Not(fm.Implies(f, f))) == fm.free_variables(f)
+
+
+@pytest.mark.parametrize("applies", [0, 40, 90])
+def test_parse_height_limit_matches_recursive_reference(applies):
+    s = FiniteStructure(2, functions={"g": FunctionSymbol(2, [[0, 1], [1, 0]])})
+    for height in (fm.MAX_NESTING, fm.MAX_NESTING + 1):
+        f = _tree(applies, height - applies - 5)
+        assert reference_height(f) == height
+        if height > fm.MAX_NESTING:
+            with pytest.raises(FormulaSyntaxError, match=f"deeper than {fm.MAX_NESTING} levels"):
+                fm.parse_formula(fm.pretty_print(f), s)
+        else:
+            assert fm.parse_formula(fm.pretty_print(f), s) == f
 
 
 def _lexed(tokenize, text):

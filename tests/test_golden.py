@@ -32,6 +32,8 @@ CASES = {
     "fit_lk_j2": ["fit-lk", "j2.json", "j2_quarter.json"],
     # all three phases of the fit run: coarse grid, refinement and polish
     "fit_lk_c2": ["fit-lk", "c2.json", "c2_one.json", "--r-max", "2", "--max-iters", "500", "--restarts", "4"],
+    # a fit that the refinement and the polish each improve on the coarse grid's best
+    "fit_lk_c3": ["fit-lk", "c3.json", "c3_fit.json", "--max-iters", "500", "--restarts", "4"],
     "exp_r0": ["exp", "j3.json", "j3_mu.json", "--r", "0"],
     "exp_r1": ["exp", "j3.json", "j3_mu.json", "--r", "1"],
     "exp_r200": ["exp", "j3.json", "j3_mu.json", "--r", "200"],

@@ -108,6 +108,15 @@ def test_evaluate_region_matches_scalar_oracle():
             assert table[cell] == scalar_eval(s, f, {**env, **dict(zip(grid, cell))})
 
 
+def test_evaluate_region_refuses_a_repeated_grid_variable():
+    # one variable cannot index two axes: the table would ignore the row index
+    s = certified(catalog.cyclic_group(3))
+    f = fm.parse_formula("add(x, 1) = 0", s)
+    with pytest.raises(FreeVariableError, match=r"^grid variables must be distinct, got \['x', 'x'\]$"):
+        fc.evaluate_region(s, f, ("x", "x"))
+    assert fc.evaluate_region(s, f, ("x",)).tolist() == [False, False, True]
+
+
 # --- definable_set -----------------------------------------------------------
 
 def test_definable_set_idempotents(j2rel):
