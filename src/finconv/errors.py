@@ -11,10 +11,10 @@ class ModelError(FinconvError):
 
 class _TokenError(FinconvError):
     """An error at a formula token, with the token's 1-based line/column
-    kept and appended to the message."""
+    kept and appended to the message; a tree built without text has none."""
 
-    def __init__(self, message, line, column):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 

@@ -22,7 +22,8 @@ A formula may nest at most MAX_NESTING levels: brackets, negations,
 quantifier bodies, right sides of "->" and argument lists while parsing,
 and the height of the finished syntax tree, so that neither the parser nor
 the recursive evaluation and printing of the tree can run out of Python
-stack. The analyses of a tree (free variables, quantifier depth, height)
+stack. A tree built by hand is held to the same height where it is
+evaluated or printed (check_height). The analyses of a tree (free variables, quantifier depth, height)
 are folds over one iterative traversal, _nodes.
 """
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from .errors import ArityError, FormulaSyntaxError, UnknownSymbolError
 
 MAX_NESTING = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
 
 # --- AST ---------------------------------------------------------------
@@ -150,6 +152,14 @@ def quantifier_depth(f: Formula) -> int:
     return max(quantifiers for _, _, quantifiers, _ in _nodes(f))
 
 
+def check_height(f: Formula, line=None, column=None) -> None:
+    """Refuse a tree higher than MAX_NESTING levels, which the recursive
+    evaluation and printing could not walk; the error names the position
+    given, a parsed formula's first token."""
+    if max(level for *_, level in _nodes(f)) > MAX_NESTING:
+        raise FormulaSyntaxError(_TOO_DEEP, line, column)
+
+
 # --- Lexer -------------------------------------------------------------
 
 _PUNCT = {
@@ -225,13 +235,10 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}, got {got!r}", tok.line, tok.column)
         return self.next()
 
-    def too_deep(self, tok: _Token) -> FormulaSyntaxError:
-        return FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
-
     def nested(self, tok: _Token, production):
         """production(), parsed one level deeper than tok."""
         if self.depth == MAX_NESTING:
-            raise self.too_deep(tok)
+            raise FormulaSyntaxError(_TOO_DEEP, tok.line, tok.column)
         self.depth += 1
         result = production()
         self.depth -= 1
@@ -242,8 +249,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise FormulaSyntaxError(f"unexpected input {tok.value!r} after formula", tok.line, tok.column)
-        if max(level for *_, level in _nodes(f)) > MAX_NESTING:  # chains of "&" or "|" nest to the left
-            raise self.too_deep(self.tokens[0])
+        first = self.tokens[0]
+        check_height(f, first.line, first.column)  # chains of "&" or "|" nest to the left
         return f
 
     def formula(self) -> Formula:
@@ -402,5 +409,7 @@ def _render(f: Formula, level: int) -> str:
 
 
 def pretty_print(f: Formula) -> str:
-    """Render a formula so that parse_formula(pretty_print(f)) == f."""
+    """Render a formula so that parse_formula(pretty_print(f)) == f; refuses
+    a tree higher than MAX_NESTING (check_height)."""
+    check_height(f)
     return _render(f, 0)

@@ -7,8 +7,9 @@ start at the point mass, the increment law X(s+t) = X(s) * X(t) over every
 tick pair whose sum is a tick, and marginal divisibility where both t and
 t/n are ticks.
 
-A path's marginals come from one shared power chain: the exponentials at
-every tick from one Poisson series (conv_exps), the root powers from one
+A path's marginals come from one shared computation: the exponentials at
+every tick from one conv_exps call (one forward semicharacter transform on
+a Clifford monoid, one Poisson series elsewhere), the root powers from one
 set of squares (conv_powers), and likewise the powers of each marginal
 that the divisibility check needs. Each marginal is still bit-identical to
 its single-tick conv_exp or conv_power call (see the measures module), so
@@ -17,7 +18,8 @@ sharing changes the cost, not the numbers.
 Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
 the increments of one right factor X(t) together, as one stack of left
-factors (measures._products_raw, with the bits its contract states). A
+factors (measures._products_raw, with the bits of the convolution kernel,
+never through the transform that may have built the path). A
 timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
 lists stay within EVAL_BUDGET.
 

@@ -3,8 +3,8 @@
 A measure is a non-negative weight vector over the universe summing to 1.
 The convolution of two measures pushes the product measure through the
 certified semigroup sum: (mu * nu)(z) = sum over x + y = z of mu(x) nu(y).
-From it come powers, the Poisson-weighted exponential series, and total
-variation as the metric on the simplex.
+From it come powers, exponentials, and total variation as the metric on
+the simplex.
 
 Each public operation fetches the structure's certificate once, through
 structures.certificate_of, and the private kernels below take that frozen
@@ -17,32 +17,45 @@ compensated addition; the bilinear convolution kernel accumulates in C
 through np.bincount in a fixed order, whose worst-case error m^2 * eps
 stays far inside every tolerance asserted at desk scale.
 
-Bits contract: the series chain (_series_raw) and validation's products
-(_products_raw) multiply by a measure's right-multiplication operator
-op[x, z] = sum of w(y) over x + y = z (_right_operator), built with one
-bincount, so that a step is an (m,) by (m, m) product rather than an m^2
-scatter. On a group each cell of op holds a single w(y), and the product
-adds a[x] * w(y) over x in the order the bincount does, so the bits are
-the kernel's. Where one row sends several y to the same sum (chains,
-products with a chain) op adds those weights before multiplying, which
-moves a result by at most m * eps in total variation: the series accepts
-that, while _products_raw takes the operator on a group only, so that
-validation reports keep the kernel's bits on every monoid.
+Exponentials: on a Clifford monoid, a union of groups (groups, chains,
+their products and relabellings: every monoid the catalog builds), conv_exp
+goes through the semicharacter transform (transform.py), built on first use
+and cached on the certificate: one forward transform of the jump measure
+per call, then per rate one pointwise exp(r(w_hat - 1)) and one inverse
+transform. Its error is rounding alone, at every rate; tol bounds the
+series' truncation. Other monoids, such as capped addition
+min(x + y, k), which is no union of groups, keep the Poisson series
+(_series_raw) up to rate 700 and the squaring scheme above it
+(_squaring_raw).
 
-Shared power chains: the series for many rates stores one chain of
-powers mu^(0*), mu^(1*), ..., as long as the largest rate needs. Powers
-for many exponents, and conv_exp's squarings at large rates, share one
-set of squares mu^(2^j) and one memo of products keyed by low exponent
-bits (_powers_raw); every 32nd square is renormalised against the drift
-of its mass, so exponents below 2^32 and rates up to 2^29 keep their
-bits. Each rate sums its own Poisson weights over the head of the chain
-with the compensated accumulator that mixtures use, and each exponent
-multiplies its squares in the same bit order, so every result has the
-bits of its single call; the kernels are deterministic, and a shared
-intermediate is the same array a separate call would have built. The
-stored chain costs O(L * m) memory for the L = r + O(sqrt(r)) terms of
-the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at r = 700
-and 293 at r = 200.
+Bits contract: every rate of conv_exps keeps the bits of its single
+conv_exp call. On the transform the forward transform is the same array
+whatever the rates, and each rate reads only that array. The series for
+many rates stores one chain of powers mu^(0*), mu^(1*), ..., as long as
+the largest rate needs, and each rate sums its own Poisson weights over
+the head of the chain with the compensated accumulator that mixtures use.
+The chain multiplies by the jump measure's right-multiplication operator
+op[x, z] = sum of w(y) over x + y = z (_right_operator), so that a step is
+an (m,) by (m, m) product rather than an m^2 scatter; where one row sends
+several y to the same sum (chains, products with a chain) op adds those
+weights before multiplying, which moves a result by at most m * eps in
+total variation. The chain costs O(L * m) memory for the L = r + O(sqrt(r))
+terms of the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at
+r = 700 and 293 at r = 200.
+
+Validation stays on the kernel: validate_levy takes its products from
+_products_raw and its powers from _powers_raw, which keep the bits of
+_convolve_raw on every monoid, so a path built through the transform is
+judged by an independent computation. _products_raw multiplies by w's
+operator on a group only, where op is a gather from the certificate's
+left-division table: each cell holds a single w(y), and the product adds
+a[x] * w(y) over x in the order the bincount does. Powers for many
+exponents, and the squarings of the series scheme, share one set of
+squares mu^(2^j) and one memo of products keyed by low exponent bits
+(_powers_raw); each exponent multiplies its squares in the same bit order,
+so it has the bits of its single call. Every 32nd square is renormalised
+against the drift of its mass, so exponents below 2^32 and rates up to
+2^29 keep their bits.
 
 Measure stacks: the convolution kernel, and the powers built on it, take
 either one vector (m,) or a stack (B, m) of independent rows, as the
@@ -223,7 +236,11 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
 
 def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
     """The (m, m) matrix of right multiplication by w: op[x, z] is the sum of
-    w[y] over x + y = z, so a * w is einsum("x,xz->z", a, op)."""
+    w[y] over x + y = z, so a * w is einsum("x,xz->z", a, op). On a group
+    each sum has one term, and op is the gather of w through the cached
+    left-division table, the same array as the bincount's."""
+    if cert.is_group:
+        return w[cert._ldiv]
     m = w.shape[0]
     idx = np.arange(m)[:, None] * m + cert.add_table
     return np.bincount(idx.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
@@ -328,24 +345,61 @@ def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
     return _powers_raw(cert, _normalised(acc), [1 << halvings])[0]
 
 
-def conv_exp(mu: Measure, r: float, tol: float) -> Measure:
-    """Exponential of the measure under convolution, within tol in total variation.
+def _transform_exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates) -> list[np.ndarray]:
+    """exp(r(w - delta_0)) for each rate on a Clifford monoid: one forward
+    semicharacter transform of w, then per rate exp(r(w_hat - 1)) pointwise
+    and one inverse transform; rate 0 is the point mass at 0 exactly.
 
-    The rate picks the scheme. Up to 700 the Poisson-weighted series is
-    summed directly, which carries a certifiable truncation bound. Above
-    700, where exp(-r) underflows, r is halved until small, the series runs
-    there, and the result is squared back up; each squaring doubles the
-    inherited error, so the inner tolerance is scaled down accordingly.
+    A semicharacter that is 1 on the whole support of w has w_hat = 1, and
+    keeps the value 1 at every rate, so that the largest rates reach their
+    limit: it is found on the transform of the support's indicator, whose
+    real part reaches the support's size there and stays more than the
+    transform's margin below it elsewhere. Rounding never lifts the real
+    part of w_hat - 1 above 0, and an exponent below -746, where exp
+    underflows to 0, is cut there, so no rate overflows.
+    """
+    sc = cert.semicharacters
+    support = w > 0
+    hat, support_hat = sc.forward(np.stack([w, support.astype(np.float64)]))
+    z = hat - 1.0
+    z[support_hat.real > np.count_nonzero(support) - sc.margin] = 0.0
+    decay = np.minimum(z.real, 0.0)
+    turn = np.clip(z.imag, -1.0, 1.0)  # |w_hat| <= 1, so r * turn stays finite
+    out = []
+    for r in rates:
+        if r == 0:
+            unit = np.zeros(w.shape[0])
+            unit[cert.zero] = 1.0
+            out.append(unit)
+        else:
+            out.append(sc.inverse(np.exp(r * np.maximum(decay, -746.0 / r) + 1j * (r * turn))))
+    return out
+
+
+def conv_exp(mu: Measure, r: float, tol: float) -> Measure:
+    """Exponential exp(r(mu - delta_0)) under convolution, within tol in
+    total variation; rate 0 gives the point mass at 0 exactly.
+
+    On a Clifford monoid it is taken through the semicharacter transform,
+    exactly up to rounding at every rate. Elsewhere the rate picks the
+    scheme. Up to 700 the Poisson-weighted series is summed directly, which
+    carries a certifiable truncation bound. Above 700, where exp(-r)
+    underflows, r is halved until small, the series runs there, and the
+    result is squared back up; each squaring doubles the inherited error,
+    so the inner tolerance is scaled down accordingly.
     """
     return conv_exps(mu, [r], tol)[0]
 
 
 def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
-    """conv_exp(mu, r, tol) for each rate in order, from one shared chain.
+    """conv_exp(mu, r, tol) for each rate in order, each with the bits of
+    its single call.
 
-    Every rate up to 700 sums its series over one stored chain of powers
-    (_series_raw); rate 0 keeps only the chain's first element, the point
-    mass at 0. A larger rate runs the squaring scheme on its own.
+    On a Clifford monoid the rates share one forward transform of mu
+    (_transform_exps_raw). Elsewhere every rate up to 700 sums its series
+    over one stored chain of powers (_series_raw), rate 0 keeping only the
+    chain's first element, and a larger rate runs the squaring scheme on
+    its own.
     """
     rates = [float(r) for r in rates]
     for r in rates:
@@ -353,12 +407,12 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
     if not (math.isfinite(tol) and tol > 0):
         raise MeasureError(f"tolerance must be finite and positive, got {tol}")
     cert = certificate_of(mu.structure)
-    rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= _SERIES_MAX_RATE], tol))
-    out = []
-    for r in rates:
-        raw = next(rows) if r <= _SERIES_MAX_RATE else _squaring_raw(cert, mu.weights, r, tol)
-        out.append(_from_raw(mu.structure, raw))
-    return out
+    if cert.semicharacters is not None:
+        raws = _transform_exps_raw(cert, mu.weights, rates)
+    else:
+        rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= _SERIES_MAX_RATE], tol))
+        raws = [next(rows) if r <= _SERIES_MAX_RATE else _squaring_raw(cert, mu.weights, r, tol) for r in rates]
+    return [_from_raw(mu.structure, raw) for raw in raws]
 
 
 def tv_distance(mu: Measure, nu: Measure) -> float:

@@ -43,6 +43,7 @@ from .errors import (
     ModelError,
     NotCertifiedError,
 )
+from .transform import Semicharacters, semicharacters
 
 EVAL_BUDGET = 10**8
 MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's limit on array dimensions
@@ -324,7 +325,9 @@ def _check_budget(m: int, axes: int) -> None:
 
 def _region_setup(s: FiniteStructure, f: fm.Formula, grid_vars, env) -> tuple[dict, int]:
     """The bindings of f's non-grid variables and f's enumeration axes;
-    refuses an unbound variable and an enumeration over EVAL_BUDGET."""
+    refuses a tree higher than MAX_NESTING, an unbound variable and an
+    enumeration over EVAL_BUDGET."""
+    fm.check_height(f)
     env = env or {}
     missing = fm.free_variables(f) - set(grid_vars) - set(env)
     if missing:
@@ -448,6 +451,22 @@ class SemigroupCertificate:
             return False
         m = self.add_table.shape[0]
         return bool((np.sort(self.add_table, axis=1) == np.arange(m)).all())
+
+    @cached_property
+    def semicharacters(self) -> Semicharacters | None:
+        """The semicharacter transform when the monoid is Clifford, else None
+        (transform.semicharacters). Built on first use, so certification
+        never pays for it."""
+        return None if self.add_table is None else semicharacters(self.add_table)
+
+    @cached_property
+    def _ldiv(self) -> np.ndarray:
+        """The left-division table of a group: ldiv[x, z] is the y with
+        x + y = z, as intp. Built on first use."""
+        m = self.add_table.shape[0]
+        ldiv = np.empty((m, m), dtype=np.intp)
+        ldiv[np.arange(m)[:, None], self.add_table] = np.arange(m)
+        return ldiv
 
     def axiom(self, name: str) -> AxiomCheck:
         for a in self.axioms:

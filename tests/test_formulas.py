@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import finconv.formulas as fm
 from finconv import catalog
 from finconv.errors import ArityError, FormulaSyntaxError, UnknownSymbolError
-from finconv.structures import FiniteStructure, FunctionSymbol
+from finconv.structures import FiniteStructure, FunctionSymbol, definable_set, eval_formula
 from helpers import (
     certified,
     random_formula,
@@ -232,10 +232,32 @@ def test_parse_height_limit_matches_recursive_reference(applies):
         f = _tree(applies, height - applies - 5)
         assert reference_height(f) == height
         if height > fm.MAX_NESTING:
+            text = fm._render(f, 0)  # pretty_print refuses such a tree itself
             with pytest.raises(FormulaSyntaxError, match=f"deeper than {fm.MAX_NESTING} levels"):
-                fm.parse_formula(fm.pretty_print(f), s)
+                fm.parse_formula(text, s)
         else:
             assert fm.parse_formula(fm.pretty_print(f), s) == f
+
+
+def test_hand_built_trees_past_the_limit_are_refused():
+    # the evaluation and the printer recurse once per level; past the limit
+    # a hand-built tree is refused with one line instead of a RecursionError
+    s = certified(catalog.cyclic_group(3))
+    f = fm.parse_formula("x = x", s)
+    for _ in range(fm.MAX_NESTING - 2):
+        f = fm.Not(f)
+    assert reference_height(f) == fm.MAX_NESTING  # the atom's terms are one level below it
+    assert definable_set(s, f, "x").all() and fm.pretty_print(f).startswith("!!")
+    for nots in (1, 5000):
+        deep = f
+        for _ in range(nots):
+            deep = fm.Not(deep)
+        calls = (lambda: definable_set(s, deep, "x"), lambda: eval_formula(s, deep, {"x": 0}),
+                 lambda: fm.pretty_print(deep))
+        for call in calls:
+            with pytest.raises(FormulaSyntaxError) as info:
+                call()
+            assert str(info.value) == f"formula nests deeper than {fm.MAX_NESTING} levels"
 
 
 def _lexed(tokenize, text):

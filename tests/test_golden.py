@@ -6,11 +6,19 @@ code with the recorded `<case>.stdout` and `exit_codes.json`. A change that
 alters any of these bytes on purpose regenerates them and says why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With --check it writes nothing and prints each case whose output would
+change, with the largest absolute and the largest relative change among
+its numbers, which is what such a change has to justify:
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 import contextlib
 import io
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,9 +78,48 @@ def test_cli_output_is_unchanged(name):
     assert stdout == (GOLDEN / f"{name}.stdout").read_text()
 
 
-if __name__ == "__main__":
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def describe_change(old: str, new: str) -> str:
+    """The largest absolute and the largest relative change between the
+    numbers of two outputs that differ in their numbers only."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "the text changes beyond its numbers"
+    changes = [
+        (abs(float(b) - float(a)), abs(float(b) - float(a)) / abs(float(a)) if float(a) else float("inf"), a, b)
+        for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
+        if float(a) != float(b)
+    ]
+    if not changes:
+        return "only the spelling of its numbers changes"
+    absolute = max(changes, key=lambda c: c[0])
+    relative = max(changes, key=lambda c: c[1])
+    return (f"largest absolute change {absolute[0]:.3g} ({absolute[2]} -> {absolute[3]}), "
+            f"largest relative change {relative[1]:.3g} ({relative[2]} -> {relative[3]})")
+
+
+def check() -> None:
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    for name in sorted(CASES):
+        code, stdout = run_case(name)
+        if code != codes[name]:
+            print(f"{name}: exit code {codes[name]} -> {code}")
+        old = (GOLDEN / f"{name}.stdout").read_text()
+        if stdout != old:
+            print(f"{name}: {describe_change(old, stdout)}")
+
+
+def regenerate() -> None:
     codes = {}
     for name in sorted(CASES):
         codes[name], stdout = run_case(name)
         (GOLDEN / f"{name}.stdout").write_text(stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        check()
+    else:
+        regenerate()

@@ -1,17 +1,20 @@
 """Bit-identity of the shared power chains against their single-call forms.
 
-conv_exps and conv_powers walk one chain for many rates or exponents, and
+conv_exps and conv_powers serve many rates or exponents in one call, and
 the path constructors use them; every result must carry exactly the bits
 of the corresponding conv_exp or conv_power call. Likewise the convolution
 kernel and the powers on a (B, m) stack must give each row the bits of the
 single call on it, and the grid oracle and the descent gradient built on
 them must keep the bits of their former private loops.
 
-The series multiplies by the jump measure's right-multiplication operator
-rather than through the bincount kernel. On a group each operator cell
-holds one weight, so the bits are the bincount's; on other monoids the
-operator adds weights before multiplying, and the reordered additions
-move each product by at most m * eps in total variation.
+On the Clifford monoids of the catalog conv_exps goes through the
+semicharacter transform, which takes each rate on its own after one
+forward transform. The series, which other monoids keep, multiplies by the
+jump measure's right-multiplication operator rather than through the
+bincount kernel. On a group each operator cell holds one weight, so the
+bits are the bincount's; on other monoids the operator adds weights before
+multiplying, and the reordered additions move each product by at most
+m * eps in total variation.
 """
 
 import math
@@ -25,7 +28,16 @@ import finconv as fc
 from finconv import catalog
 from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_objective
 from finconv.errors import MeasureError
-from finconv.measures import _convolve_raw, _poisson_terms, _powers_raw, _products_raw, _right_operator
+from finconv.measures import (
+    _convolve_raw,
+    _normalised,
+    _poisson_terms,
+    _powers_raw,
+    _products_raw,
+    _right_operator,
+    _series_raw,
+    _squaring_raw,
+)
 from finconv.structures import certificate_of
 from helpers import catalog_monoid
 
@@ -114,8 +126,10 @@ def _is_group(s):
 
 @SETTINGS
 @given(measures(), st.one_of(st.just(0.0), st.floats(1e-3, 40.0)), st.sampled_from([1e-6, 1e-9, 1e-12]))
-def test_conv_exp_keeps_one_rate_series_bits(mu, r, tol):
-    got, want = fc.conv_exp(mu, r, tol).weights, one_rate_series(mu, r, tol)
+def test_series_keeps_one_rate_series_bits(mu, r, tol):
+    # the series that conv_exp runs on monoids the transform does not serve
+    got = _normalised(_series_raw(certificate_of(mu.structure), mu.weights, [r], tol)[0])
+    want = one_rate_series(mu, r, tol)
     if _is_group(mu.structure):
         assert got.tobytes() == want.tobytes()
     else:
@@ -192,7 +206,8 @@ def test_power_layer_work_is_pinned(monkeypatch):
     and one operator build per right factor, 65, for its 1,089 increments,
     since Z16 is a group; conv_power(., 1023) takes 9 squares and 9
     products, conv_powers(., [3, 5, 7, 1024, 4099]) 12 squares and 4
-    products, and conv_exp at r = 900 squares 12 times."""
+    products, and the squaring scheme at r = 900 squares 12 times; conv_exp
+    runs no kernel on Z16, through the semicharacter transform."""
     nu = fc.measure(catalog_monoid("cyclic", 16, 0, -1), np.random.default_rng(1).dirichlet(np.ones(16)))
     calls, builds = [], []
     monkeypatch.setattr("finconv.measures._convolve_raw", lambda *args: calls.append(1) or _convolve_raw(*args))
@@ -210,7 +225,8 @@ def test_power_layer_work_is_pinned(monkeypatch):
     assert len(builds) == 65
     assert count(lambda: fc.conv_power(nu, 1023)) == 18
     assert count(lambda: fc.conv_powers(nu, [3, 5, 7, 1024, 4099])) == 16
-    assert count(lambda: fc.conv_exp(nu, 900.0, 1e-9)) == 12
+    assert count(lambda: _squaring_raw(certificate_of(nu.structure), nu.weights, 900.0, 1e-9)) == 12
+    assert count(lambda: fc.conv_exp(nu, 900.0, 1e-9)) == 0
 
 
 def test_empty_and_invalid_requests(z8):

@@ -1,5 +1,6 @@
-"""The test settings themselves: a failing property test must be reported
-as a failure with its falsifying example, not abort the run."""
+"""The test settings and tools themselves: a failing property test must be
+reported as a failure with its falsifying example, not abort the run, and
+the golden script's check must name the largest changes of a case."""
 
 import subprocess
 import sys
@@ -51,3 +52,14 @@ def test_an_xfail_that_passes_fails_the_run(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "XPASS(strict)" in proc.stdout
+
+
+def test_golden_check_names_the_largest_changes():
+    from test_golden import describe_change
+
+    old, new = '{"w": [0.25, 1e-10, 3]}\n', '{"w": [0.375, 2e-10, 3]}\n'
+    assert describe_change(old, new) == (
+        "largest absolute change 0.125 (0.25 -> 0.375), largest relative change 1 (1e-10 -> 2e-10)"
+    )
+    assert describe_change(old, old.replace("0.25", "2.5e-1")) == "only the spelling of its numbers changes"
+    assert describe_change(old, old.replace('"w"', '"v"')) == "the text changes beyond its numbers"

@@ -1,0 +1,185 @@
+"""The semicharacter transform and the exponentials taken through it.
+
+The transform serves Clifford monoids, unions of groups: here a random zoo
+of cyclic groups, chains and their products of up to three factors, each
+possibly relabelled, with m <= 32. Its exponentials are checked against
+the Poisson series and the squaring scheme that other monoids keep, which
+remain the reference; capped addition, which is no union of groups, must
+be refused and keep the series' bytes.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import finconv as fc
+from finconv import catalog
+from finconv.measures import (
+    _normalised,
+    _right_operator,
+    _series_raw,
+    _squaring_raw,
+    _transform_exps_raw,
+    _tv_raw,
+)
+from finconv.structures import certificate_of
+from helpers import certified
+
+SETTINGS = settings(max_examples=40, deadline=None)
+RATES = (0.3, 7.0, 150.0, 699.0, 701.0, 5000.0)
+
+
+@st.composite
+def clifford_monoids(draw):
+    """A product of one to three cyclic groups or chains with at most 32
+    elements, relabelled unless the drawn seed is negative."""
+    factors, m = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, max(1, 32 // m)))
+        factors.append(certified(catalog.cyclic_group(n) if draw(st.booleans()) else catalog.chain_semilattice(n)))
+        m *= n
+    s = factors[0]
+    for f in factors[1:]:
+        s = certified(catalog.product_of(s, f))
+    seed = draw(st.integers(-1, 2**16))
+    if seed >= 0:
+        s = certified(catalog.relabeled(s, np.random.default_rng(seed).permutation(s.size)))
+    return s
+
+
+@st.composite
+def clifford_measures(draw):
+    s = draw(clifford_monoids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = rng.dirichlet(np.ones(s.size))
+    if draw(st.booleans()):
+        w[rng.random(s.size) < 0.5] = 0.0  # sparse supports: semicharacters that are 1 on the whole support
+        w[int(rng.integers(s.size))] += 1.0
+        w /= w.sum()
+    return fc.measure(s, w)
+
+
+def capped_addition(k):
+    """min(x + y, k) on {0, ..., k}: a monoid whose elements below k lie in no group."""
+    i = np.arange(k + 1)
+    return certified(catalog.from_add_table(np.minimum(i[:, None] + i[None, :], k)))
+
+
+def reference_exp(cert, w, r):
+    """The series below rate 700 and the squaring scheme above, at tol 1e-13."""
+    raw = _series_raw(cert, w, [r], 1e-13)[0] if r <= 700 else _squaring_raw(cert, w, r, 1e-13)
+    return _normalised(raw)
+
+
+@SETTINGS
+@given(clifford_measures())
+def test_transform_matches_the_series(mu):
+    cert = certificate_of(mu.structure)
+    assert cert.semicharacters is not None
+    for r, got in zip(RATES, fc.conv_exps(mu, RATES, 1e-13)):
+        assert _tv_raw(got.weights, reference_exp(cert, mu.weights, r)) <= 1e-12, r
+
+
+@SETTINGS
+@given(clifford_measures(), st.lists(st.sampled_from((0.0, 1e-300, 0.5, 3.0, 700.0, 1e5, 1e300)), max_size=5))
+def test_rates_keep_their_single_call_bits(mu, rates):
+    together = fc.conv_exps(mu, rates, 1e-9)
+    for r, got in zip(rates, together):
+        assert got.weights.tobytes() == fc.conv_exp(mu, r, 1e-9).weights.tobytes()
+
+
+@SETTINGS
+@given(clifford_measures())
+def test_rate_zero_is_the_point_mass(mu):
+    unit = fc.dirac(mu.structure, certificate_of(mu.structure).zero)
+    assert fc.conv_exp(mu, 0.0, 1e-9).weights.tobytes() == unit.weights.tobytes()
+
+
+@SETTINGS
+@given(clifford_monoids(), st.integers(0, 2**16))
+def test_transform_is_multiplicative_and_invertible(s, seed):
+    """The transform of a point mass lists chi(x) over the semicharacters
+    chi: chi(x + y) = chi(x) chi(y), and the inverse gives every vector back."""
+    cert = certificate_of(s)
+    sc = cert.semicharacters
+    rng = np.random.default_rng(seed)
+    x, y = (int(v) for v in rng.integers(s.size, size=2))
+    points = sc.forward(np.eye(s.size)[[x, y, cert.add_table[x, y]]])
+    assert np.abs(points[0] * points[1] - points[2]).max() <= 1e-12
+    w = rng.standard_normal(s.size)
+    assert np.abs(sc.inverse(sc.forward(w[None, :])[0]) - w).max() <= 1e-12
+
+
+@SETTINGS
+@given(clifford_monoids())
+def test_cached_state_holds_no_square_matrix(s):
+    """Besides the certificate's own table, every array is a vector of at
+    most m entries or of the Moebius step's nonzeros."""
+    sc = certificate_of(s).semicharacters
+    for name, value in vars(sc).items():
+        if isinstance(value, np.ndarray) and name != "add_table":
+            assert value.ndim == 1, name
+    assert np.shares_memory(sc.add_table, certificate_of(s).add_table)
+
+
+def test_diamond_lattice_takes_the_transform():
+    """M3, a bottom, three atoms and a top under join: moebius(bottom, top)
+    is 2, so it is no product of chains."""
+    join = np.array([[0, 1, 2, 3, 4], [1, 1, 4, 4, 4], [2, 4, 2, 4, 4], [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]])
+    s = certified(catalog.from_add_table(join))
+    cert = certificate_of(s)
+    assert cert.semicharacters is not None
+    assert sorted(cert.semicharacters.moebius_coef.tolist()) == [-1.0] * 6 + [1.0] * 5 + [2.0]
+    mu = fc.measure(s, np.random.default_rng(4).dirichlet(np.ones(5)))
+    for r, got in zip(RATES, fc.conv_exps(mu, RATES, 1e-13)):
+        assert _tv_raw(got.weights, reference_exp(cert, mu.weights, r)) <= 1e-12, r
+
+
+def test_certification_builds_neither_transform_nor_division_table():
+    cert = fc.verify_semigroup(catalog.cyclic_group(16))
+    assert "semicharacters" not in vars(cert) and "_ldiv" not in vars(cert)
+
+
+def test_capped_addition_keeps_the_series_bytes():
+    s = capped_addition(4)
+    cert = certificate_of(s)
+    assert cert.semicharacters is None
+    mu = fc.measure(s, np.random.default_rng(5).dirichlet(np.ones(5)))
+    for r in (0.0, 0.5, 20.0, 900.0):
+        raw = _series_raw(cert, mu.weights, [r], 1e-9)[0] if r <= 700 else _squaring_raw(cert, mu.weights, r, 1e-9)
+        assert fc.conv_exp(mu, r, 1e-9).weights.tobytes() == _normalised(raw).tobytes()
+
+
+@SETTINGS
+@given(clifford_monoids(), st.integers(0, 2**16))
+def test_group_operator_gather_equals_the_bincount(s, seed):
+    # on the zoo's groups _right_operator gathers through the division table
+    cert = certificate_of(s)
+    w = np.random.default_rng(seed).dirichlet(np.ones(s.size))
+    m = s.size
+    idx = np.arange(m)[:, None] * m + cert.add_table
+    bincount = np.bincount(idx.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
+    assert np.array_equal(_right_operator(cert, w), bincount)
+
+
+def test_transform_exponentials_reach_the_exact_chain_values():
+    """On a chain the exponential is exp(r(F - 1)) on the distribution
+    function F; checked in exact arithmetic at 50 digits. The transform's
+    rounding, of order m * eps, is multiplied by r in the exponent."""
+    s = certified(catalog.chain_semilattice(6))
+    w = np.random.default_rng(11).dirichlet(np.ones(6))
+    mu = fc.measure(s, w)
+    for r in (0.3, 7.0, 150.0):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            cdf = [Decimal(0)]
+            for v in mu.weights.tolist():
+                cdf.append(cdf[-1] + Decimal(v))
+            exact = [(Decimal(r) * (c - 1)).exp() for c in cdf[1:]]
+            exact = [b - a for a, b in zip([Decimal(0)] + exact, exact)]
+        got = _transform_exps_raw(certificate_of(s), mu.weights, [r])[0]
+        error = math.fsum(abs(float(Decimal(g) - e)) for g, e in zip(got.tolist(), exact))
+        assert error <= (1 + r) * s.size * np.finfo(float).eps, r
