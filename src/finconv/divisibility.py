@@ -5,12 +5,20 @@ descent on the probability simplex, minimizing the squared L2 residual of
 the root's n-th power against the target (total variation is what gets
 certified; the two are equivalent on a fixed finite space and L2 has a
 smooth gradient). Chains under join admit an analytic root through the
-cumulative function, kept as an independent oracle. Small universes
-(m <= 3) also get an exhaustive simplex grid scan, refined around its best
-point. Its smallest residual is reported as lower_bound and decides the
-infeasible verdict, but a residual attained at a grid point bounds the
-least residual from above, not from below: a target that has a root can
-be declared infeasible.
+cumulative function, kept as an independent oracle.
+
+A root search reports a lower_bound only where one is certified: for even
+n on a Clifford monoid (a union of groups, transform.py), by the real
+semicharacters. Such a chi takes the values 0 and +-1, so nu_hat(chi) is
+real and nu_hat(chi)^n >= 0 for every nu; and |chi| <= 1 gives
+|nu_hat^n(chi) - t_hat(chi)| <= 2 TV(nu^n, t). Every candidate root
+therefore leaves a residual of at least half of -t_hat(chi), the
+two-torsion obstruction (the inequality behind Diaconis's upper-bound
+lemma, IMS LN 11, 1988, ch. 3). The bound holds up to the transform's
+rounding, and exactly on C2, whose FFT of size 2 is exact. It is None for
+odd n, off Clifford monoids, and where no real chi has t_hat(chi) < 0;
+obstructions that only complex semicharacters see (Z3's delta_1 at
+n = 3, Z8's delta_2 at n = 4) end local_minimum_only.
 
 The remaining operations realize the compound-Bernoulli approximation of
 the exponential, the extraction of its jump measure, the concentration
@@ -37,10 +45,10 @@ from .measures import (
     _check_rate,
     _convolve_raw,
     _correlate_raw,
+    _exps_raw,
     _from_raw,
     _normalised,
     _powers_raw,
-    _series_raw,
     conv_exp,
     conv_power,
     dirac,
@@ -54,8 +62,6 @@ VERDICT_EXACT = "exact_within_tol"
 VERDICT_LOCAL = "local_minimum_only"
 VERDICT_INFEASIBLE = "infeasible_lower_bound"
 
-GRID_ORACLE_MAX_SIZE = 3
-GRID_RESOLUTION = 64  # grid oracle points per simplex coordinate
 DISTINCT_ROOT_TV = 1e-4
 FIT_R_MAX = 4.0  # largest rate fit_levy_khintchine searches unless told otherwise
 
@@ -69,8 +75,9 @@ ARMIJO = 1e-4
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the simplex descent; the step rule is fixed by the module
-    constants STEP_INIT, STEP_GROWTH, STEP_SHRINK and ARMIJO, and the grid
-    oracle by GRID_RESOLUTION."""
+    constants STEP_INIT, STEP_GROWTH, STEP_SHRINK and ARMIJO. A root whose
+    certified lower_bound reaches 100 * tol_residual is declared
+    infeasible."""
 
     seed: int = 0
     restarts: int = 16
@@ -229,52 +236,20 @@ def _power_objective(cert: SemigroupCertificate, target_w: np.ndarray, n: int):
     return objective
 
 
-# --- the exhaustive simplex grid (m <= 3) ----------------------------------
-
-def _grid_candidates(m, lo, hi, res):
-    axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(m - 1)]
-    if m == 2:
-        first = axes[0]
-        pts = np.stack([first, 1.0 - first], axis=1)
-    else:
-        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([a.ravel(), b.ravel(), 1.0 - a.ravel() - b.ravel()], axis=1)
-    pts = pts[(pts >= -1e-12).all(axis=1)]
-    return np.maximum(pts, 0.0)
-
-
-def _grid_minimum_residual(cert: SemigroupCertificate, target_w, n) -> float:
-    """Smallest residual over an exhaustive simplex grid, refined 3 rounds.
-
-    The value is the residual attained at the best scanned point, tightened
-    by shrinking windows around the incumbent. It therefore bounds the least
-    residual over the simplex from above; it is not a lower bound.
-    """
-    m = target_w.shape[0]
-    if m == 1:
-        return float(abs(1.0 - target_w[0]))  # the unique measure is its own power
-    lo = np.zeros(m - 1)
-    hi = np.ones(m - 1)
-    best_val = math.inf
-    best_pt = None
-    half = None
-    for _ in range(4):
-        pts = _grid_candidates(m, lo, hi, GRID_RESOLUTION)
-        result = _powers_raw(cert, pts, [n])[0]
-        vals = 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_pt = pts[k]
-        step = (hi - lo).max() / GRID_RESOLUTION
-        half = step if half is None else half / 4.0
-        center = best_pt[: m - 1]
-        lo = np.clip(center - half, 0.0, 1.0)
-        hi = np.clip(center + half, 0.0, 1.0)
-    return best_val
-
-
 # --- root search ------------------------------------------------------------
+
+def _two_torsion_bound(cert: SemigroupCertificate, target_w: np.ndarray, n: int) -> float | None:
+    """Half the largest -t_hat(chi) over the real semicharacters chi, a lower
+    bound on TV(nu^n, t) for every nu when n is even (module docstring);
+    None for odd n, off Clifford monoids, or when it is not positive."""
+    if n % 2:
+        return None
+    sc = cert.semicharacters
+    if sc is None:
+        return None
+    bound = -0.5 * float(sc.forward(target_w[None, :])[0].real[sc.real].min())
+    return bound if bound > 0 else None
+
 
 def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCertificate:
     """Search the simplex for an n-th convolution root of the target.
@@ -282,12 +257,10 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
     Runs cfg.restarts descents: from the target itself, the point mass at
     0, uniform, one anchored start per element, then seeded Dirichlet
     draws. The winner is the lexicographic minimum of (residual, restart
-    index), so results are deterministic for a fixed seed. For universes of
-    size <= 3, lower_bound is the smaller of the grid scan's least residual
-    (_grid_minimum_residual) and the root's, and a lower_bound of at least
-    100 * tol_residual gives VERDICT_INFEASIBLE. Both are residuals that
-    were attained, so lower_bound is an upper bound on the least residual,
-    and that verdict can be wrong for a target that has a root.
+    index), so results are deterministic for a fixed seed. lower_bound is
+    the two-torsion bound (_two_torsion_bound), certified up to the
+    transform's rounding, or None where none is known; a lower_bound of at
+    least 100 * tol_residual gives VERDICT_INFEASIBLE.
     """
     cfg = cfg or SolverConfig()
     if n < 1:
@@ -318,10 +291,7 @@ def nth_root(target: Measure, n: int, cfg: SolverConfig | None = None) -> RootCe
     best_root = kept[0]
     residual = tv_distance(conv_power(best_root, n), target)
 
-    lower = None
-    if m <= GRID_ORACLE_MAX_SIZE:
-        lower = min(_grid_minimum_residual(cert, target.weights, n), residual)
-
+    lower = _two_torsion_bound(cert, target.weights, n)
     if residual <= cfg.tol_residual:
         verdict = VERDICT_EXACT
     elif lower is not None and lower >= 100 * cfg.tol_residual:
@@ -460,7 +430,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
 
 def _exp_objective(cert: SemigroupCertificate, target_w, r, tol_exp):
     def objective(w):
-        e = _normalised(_series_raw(cert, w, [r], tol_exp)[0])
+        e = _normalised(_exps_raw(cert, w, [r], tol_exp)[0])
         d = e - target_w
         return (*_residuals(d), lambda: r * _correlate_raw(cert, e, d))
 

@@ -57,12 +57,9 @@ so it has the bits of its single call. Every 32nd square is renormalised
 against the drift of its mass, so exponents below 2^32 and rates up to
 2^29 keep their bits.
 
-Measure stacks: the convolution kernel, and the powers built on it, take
-either one vector (m,) or a stack (B, m) of independent rows, as the
-solver's grid scan does. A stack is one bincount in which row b's sums
-land in bins b*m + table[x, y]; bincount adds its inputs in order, so each
-row adds the same products in the same order as the single call on that
-row and keeps its bits.
+Vectors: the convolution kernel and the powers built on it take one
+vector (m,). Only _products_raw takes a stack (B, m), of left factors that
+all multiply one right factor.
 """
 
 from __future__ import annotations
@@ -193,15 +190,8 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 # --- raw kernels (shared with the solver) --------------------------------
 
 def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for one vector (m,) or row by row for a stack (B, m)."""
-    flat = cert._flat
-    m = a.shape[-1]
-    if a.ndim == 1:
-        return np.bincount(flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)
-    rows = a.shape[0]
-    idx = (np.arange(rows) * m)[:, None] + flat[None, :]
-    outer = a[:, :, None] * b[:, None, :]
-    return np.bincount(idx.ravel(), weights=outer.ravel(), minlength=rows * m).reshape(rows, m)
+    """a * b: one bincount of the outer product over the flattened table."""
+    return np.bincount(cert._flat, weights=np.multiply.outer(a, b).ravel(), minlength=a.shape[0])
 
 
 def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarray]:
@@ -210,21 +200,21 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
     Each exponent walks its bits from the lowest up, and the product of the
     squares a^(2^j) of its low set bits is memoised under those bits: the
     unit under 0, a lone square under its bit, else the shorter prefix's
-    product times the next square. Squares go up to the top bit, and a
-    stack a (B, m) is powered row by row. Every 32nd square is renormalised
-    per row, as squaring squares the mass's rounding drift, (1 + a few
-    ulp)^(2^j), which overflows past j ~ 62; exponents < 2^32 keep their bits.
+    product times the next square. Squares go up to the top bit. Every 32nd
+    square is renormalised, as squaring squares the mass's rounding drift,
+    (1 + a few ulp)^(2^j), which overflows past j ~ 62; exponents < 2^32
+    keep their bits.
     """
     squares, products, out = [a], {}, []  # products: low bits -> product of their squares
     for n in map(operator.index, ns):
         if n == 0 and 0 not in products:  # the unit, built on demand: descent steps call this
             products[0] = np.zeros(a.shape)
-            products[0][..., cert.zero] = 1.0
+            products[0][cert.zero] = 1.0
         low = 0
         for j in range(n.bit_length()):
             if j == len(squares):
                 sq = _convolve_raw(cert, squares[-1], squares[-1])
-                squares.append(sq / sq.sum(axis=-1, keepdims=True) if j % 32 == 0 else sq)
+                squares.append(sq / sq.sum() if j % 32 == 0 else sq)
             if n >> j & 1:
                 prefix = low | 1 << j
                 if prefix not in products:
@@ -249,8 +239,7 @@ def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
 def _products_raw(cert: SemigroupCertificate, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each row of the stack (B, m) times w, with the bits of _convolve_raw
     on that row (the module's bits contract): one product with w's operator
-    on a group, elsewhere one _convolve_raw call per row (the stacked
-    bincount is slower per row at m = 256)."""
+    on a group, elsewhere one _convolve_raw call per row."""
     if cert.is_group:
         return np.einsum("ix,xz->iz", stack, _right_operator(cert, w))
     return np.array([_convolve_raw(cert, a, w) for a in stack])
@@ -376,6 +365,17 @@ def _transform_exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates) -> lis
     return out
 
 
+def _exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates, tol) -> list[np.ndarray]:
+    """The exponentials conv_exps normalises, one per rate: through the
+    transform on a Clifford monoid (_transform_exps_raw); elsewhere every
+    rate up to 700 sums its series over one stored chain of powers
+    (_series_raw), and a larger rate runs the squaring scheme on its own."""
+    if cert.semicharacters is not None:
+        return _transform_exps_raw(cert, w, rates)
+    rows = iter(_series_raw(cert, w, [r for r in rates if r <= _SERIES_MAX_RATE], tol))
+    return [next(rows) if r <= _SERIES_MAX_RATE else _squaring_raw(cert, w, r, tol) for r in rates]
+
+
 def conv_exp(mu: Measure, r: float, tol: float) -> Measure:
     """Exponential exp(r(mu - delta_0)) under convolution, within tol in
     total variation; rate 0 gives the point mass at 0 exactly.
@@ -395,23 +395,15 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
     """conv_exp(mu, r, tol) for each rate in order, each with the bits of
     its single call.
 
-    On a Clifford monoid the rates share one forward transform of mu
-    (_transform_exps_raw). Elsewhere every rate up to 700 sums its series
-    over one stored chain of powers (_series_raw), rate 0 keeping only the
-    chain's first element, and a larger rate runs the squaring scheme on
-    its own.
+    On a Clifford monoid the rates share one forward transform of mu;
+    elsewhere the rates up to 700 share one chain of powers (_exps_raw).
     """
     rates = [float(r) for r in rates]
     for r in rates:
         _check_rate(r)
     if not (math.isfinite(tol) and tol > 0):
         raise MeasureError(f"tolerance must be finite and positive, got {tol}")
-    cert = certificate_of(mu.structure)
-    if cert.semicharacters is not None:
-        raws = _transform_exps_raw(cert, mu.weights, rates)
-    else:
-        rows = iter(_series_raw(cert, mu.weights, [r for r in rates if r <= _SERIES_MAX_RATE], tol))
-        raws = [next(rows) if r <= _SERIES_MAX_RATE else _squaring_raw(cert, mu.weights, r, tol) for r in rates]
+    raws = _exps_raw(certificate_of(mu.structure), mu.weights, rates, tol)
     return [_from_raw(mu.structure, raw) for raw in raws]
 
 

@@ -52,6 +52,19 @@ class Semicharacters:
     moebius_coef: np.ndarray  # ... times moebius(e(y), f)
     margin: float  # a chi(x) other than 1 has real part more than 4 margins below 1
 
+    @property
+    def real(self) -> np.ndarray:
+        """Which semicharacters take real values only, as a mask over the
+        slots: frequency k on Z_n1 x ... x Z_nk is real exactly when
+        2 k_i = 0 mod n_i for every i, and its values are then 0 and +-1."""
+        mask = np.ones(self.slots.size, dtype=bool)
+        for lo, count, shape in self.blocks:
+            if shape:
+                k = np.indices(shape).reshape(len(shape), -1)
+                real = (2 * k % np.array(shape)[:, None] == 0).all(axis=0)
+                mask[lo : lo + count * real.size] = np.tile(real, count)
+        return mask
+
     def forward(self, w: np.ndarray) -> np.ndarray:
         """The transform of each row of a stack (B, m)."""
         xs, fs = np.nonzero(self.add_table[np.ix_(self.idempotent, self.idempotents)] == self.idempotents)

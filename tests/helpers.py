@@ -46,6 +46,12 @@ def catalog_monoid(kind: str, a: int, b: int, perm_seed: int):
     return certified(catalog.relabeled(base, perm))
 
 
+def capped_addition(k):
+    """min(x + y, k) on {0, ..., k}: a monoid whose elements below k lie in no group."""
+    i = np.arange(k + 1)
+    return certified(catalog.from_add_table(np.minimum(i[:, None] + i[None, :], k)))
+
+
 def random_semigroup(rng, max_m=16):
     """A random verified commutative monoid: cyclic groups, chains, their
     products, all under a random relabeling of the universe."""

@@ -1,14 +1,19 @@
 import math
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finconv as fc
-from finconv import catalog, divisibility
+from finconv import catalog, divisibility, fileio
 from finconv.errors import ConcentrationError, FinconvError, MeasureError
 from finconv.structures import certificate_of
 from helpers import (
+    capped_addition,
+    catalog_monoid,
     certified,
     conditioned_chain_root,
     fd_tangent_gradient,
@@ -16,6 +21,8 @@ from helpers import (
     random_measure,
     random_semigroup,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def power_objective(target, n):
@@ -123,16 +130,80 @@ def test_root_infeasible_on_two_torsion(c2):
     assert cert.residual >= 0.5 - 1e-9
 
 
-# Four of the first 40 cubes conv_power(measure(J3, rng.dirichlet(ones(3))), 3),
-# rng = default_rng(0), are declared infeasible: the grid minimum reported as
-# lower_bound is an upper bound on the least residual, not a lower one.
-@pytest.mark.xfail(strict=True, reason="lower_bound is a grid minimum, not a certified lower bound")
+# Cubes conv_power(measure(J3, rng.dirichlet(ones(3))), 3), rng = default_rng(0),
+# that the descent leaves above tol: each has a root by construction, so a
+# residual the search reached must not pass for a lower bound.
 @pytest.mark.parametrize("draw", [10, 19, 20, 26])
 def test_cube_is_never_declared_infeasible(j3, draw):
     rng = np.random.default_rng(0)
     weights = [rng.dirichlet(np.ones(3)) for _ in range(draw + 1)][draw]
     target = fc.conv_power(fc.measure(j3, weights), 3)
     assert fc.nth_root(target, 3).verdict != "infeasible_lower_bound"
+
+
+@st.composite
+def root_targets(draw):
+    """A catalog monoid with at most 32 elements, a dense or sparse target
+    on it, and an even order."""
+    kind = draw(st.sampled_from(["cyclic", "group", "chain", "product"]))
+    a = draw(st.integers(1, 32 if kind in ("cyclic", "chain") else 8))
+    b = draw(st.integers(1, max(1, 32 // a))) if kind in ("group", "product") else 0
+    s = catalog_monoid(kind, a, b, draw(st.integers(-1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = rng.dirichlet(np.ones(s.size))
+    if draw(st.booleans()):
+        w[rng.random(s.size) < 0.8] = 0.0  # near point masses, where the obstructions are largest
+        w[int(rng.integers(s.size))] += 1.0
+        w /= w.sum()
+    return fc.measure(s, w), draw(st.sampled_from([2, 4, 6])), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_targets())
+def test_two_torsion_bound_is_sound(case):
+    """No candidate's n-th power comes closer to the target than lower_bound:
+    50 Dirichlet draws and the returned root."""
+    target, n, rng = case
+    cert = fc.nth_root(target, n, fc.SolverConfig(restarts=4, max_iters=200))
+    if cert.lower_bound is None:
+        return
+    assert cert.lower_bound > 0
+    candidates = [fc.measure(target.structure, w) for w in rng.dirichlet(np.ones(target.size), size=50)]
+    for nu in candidates + [cert.best_root]:
+        assert fc.tv_distance(fc.conv_power(nu, n), target) >= cert.lower_bound - 1e-15
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_point_mass_of_a_generator_has_no_square_root(m):
+    """Z4 and Z8 delta_1: chi(x) = (-1)^x has chi_hat = -1, so every square
+    stays 1/2 away."""
+    s = catalog_monoid("cyclic", m, 0, -1)
+    cert = fc.nth_root(fc.dirac(s, 1), 2)
+    assert cert.verdict == "infeasible_lower_bound"
+    assert cert.lower_bound == 0.5
+    assert cert.residual >= 0.5 - 1e-9
+
+
+def test_lower_bound_is_none_off_clifford_monoids():
+    """Capped addition min(x + y, 2) is no union of groups: no bound, so no
+    infeasible verdict, whatever the target."""
+    s = capped_addition(2)
+    rng = np.random.default_rng(9)
+    targets = [fc.dirac(s, 1), fc.dirac(s, 2)] + [fc.measure(s, w) for w in rng.dirichlet(np.ones(3), size=3)]
+    for target, n in iproduct(targets, (2, 3, 4)):
+        cert = fc.nth_root(target, n)
+        assert cert.lower_bound is None
+        assert cert.verdict != "infeasible_lower_bound"
+
+
+@pytest.mark.parametrize("m,point,n", [(3, 1, 3), (8, 2, 4)])
+def test_obstructions_no_real_semicharacter_sees_get_no_bound(m, point, n):
+    """Z3 delta_1 at n = 3 (an odd order) and Z8 delta_2 at n = 4 (every
+    real chi is 1 there) have no root, but only complex semicharacters see
+    it: the bound is unknown, and the verdict stays local_minimum_only."""
+    cert = fc.nth_root(fc.dirac(catalog_monoid("cyclic", m, 0, -1), point), n)
+    assert cert.lower_bound is None
+    assert cert.verdict == "local_minimum_only"
 
 
 def test_root_certificate_residual_recomputed():
@@ -357,6 +428,19 @@ def test_fit_recovers_exponential_on_group(c2):
     assert fit.residual <= 1e-6
     character = fit.jump.weights[0] - fit.jump.weights[1]
     assert fit.rate * (1 - character) == pytest.approx(2.0, abs=1e-5)
+
+
+def test_fit_reports_the_residual_it_minimised():
+    """On the fit_lk_j2 golden's inputs, the residual printed is the
+    objective's at the returned (rate, jump), which the search ranked by."""
+    s = fileio.load_model(GOLDEN / "j2.json")
+    fc.verify_semigroup(s)
+    target = fileio.load_measure(GOLDEN / "j2_quarter.json", s)
+    cfg = fc.SolverConfig()
+    fit = fc.fit_levy_khintchine(target)
+    objective = divisibility._exp_objective(certificate_of(s), target.weights, fit.rate, cfg.tol_residual / 10)
+    assert fit.residual <= cfg.tol_residual
+    assert abs(fit.residual - objective(fit.jump.weights)[1]) <= 1e-24
 
 
 def test_fit_deterministic(j2):

@@ -2,10 +2,10 @@
 
 conv_exps and conv_powers serve many rates or exponents in one call, and
 the path constructors use them; every result must carry exactly the bits
-of the corresponding conv_exp or conv_power call. Likewise the convolution
-kernel and the powers on a (B, m) stack must give each row the bits of the
-single call on it, and the grid oracle and the descent gradient built on
-them must keep the bits of their former private loops.
+of the corresponding conv_exp or conv_power call. Likewise the products of
+a (B, m) stack by one right factor must give each row the bits of the
+single kernel call on it, and the descent gradient must keep the bits of
+its former private loop.
 
 On the Clifford monoids of the catalog conv_exps goes through the
 semicharacter transform, which takes each rate on its own after one
@@ -25,14 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finconv as fc
-from finconv import catalog
-from finconv.divisibility import GRID_RESOLUTION, _grid_candidates, _grid_minimum_residual, _power_objective
+from finconv.divisibility import _power_objective
 from finconv.errors import MeasureError
 from finconv.measures import (
     _convolve_raw,
     _normalised,
     _poisson_terms,
-    _powers_raw,
     _products_raw,
     _right_operator,
     _series_raw,
@@ -287,10 +285,7 @@ def test_is_group_means_every_element_has_an_inverse(kind, a, b):
     assert cert.is_group == (kind in ("cyclic", "group") or trivial_chain)
 
 
-# --- the stacked kernel ---------------------------------------------------------
-
-GRID_ORDERS = st.sampled_from([1, 2, 3, 7, 16, 33])
-
+# --- the descent gradient -------------------------------------------------------
 
 @st.composite
 def stacks(draw, max_size=18):
@@ -309,48 +304,6 @@ def stacks(draw, max_size=18):
     return s, rows
 
 
-def old_batch_power_residuals(flat, m, zero, points, n, target_w):
-    """The grid's former private power loop, kept as the reference."""
-    count = points.shape[0]
-    idx = (np.arange(count) * m)[:, None] + flat[None, :]
-    flat_idx = idx.ravel()
-
-    def bconv(a, b):
-        outer = a[:, :, None] * b[:, None, :]
-        return np.bincount(flat_idx, weights=outer.reshape(count, -1).ravel(), minlength=count * m).reshape(count, m)
-
-    result = None
-    base = points
-    k = n
-    while True:
-        if k & 1:
-            result = base if result is None else bconv(result, base)
-        k >>= 1
-        if k == 0:
-            break
-        base = bconv(base, base)
-    return 0.5 * np.abs(result - target_w[None, :]).sum(axis=1)
-
-
-def old_grid_minimum_residual(table, m, zero, target_w, n, res):
-    """The refinement loop of _grid_minimum_residual over the reference residuals."""
-    if m == 1:
-        return float(abs(1.0 - target_w[0]))
-    lo, hi = np.zeros(m - 1), np.ones(m - 1)
-    best_val, best_pt, half = math.inf, None, None
-    for _ in range(4):
-        pts = _grid_candidates(m, lo, hi, res)
-        vals = old_batch_power_residuals(table.ravel(), m, zero, pts, n, target_w)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, best_pt = float(vals[k]), pts[k]
-        step = (hi - lo).max() / res
-        half = step if half is None else half / 4.0
-        lo = np.clip(best_pt[: m - 1] - half, 0.0, 1.0)
-        hi = np.clip(best_pt[: m - 1] + half, 0.0, 1.0)
-    return best_val
-
-
 def raw_power(flat, m, zero, w, n):
     """Binary exponentiation of one raw vector, n = 0 giving the unit."""
     if n == 0:
@@ -365,46 +318,6 @@ def raw_power(flat, m, zero, w, n):
         if n == 0:
             return result
         base = _convolve(flat, m, base, base)
-
-
-@SETTINGS
-@given(stacks(), st.data())
-def test_stacked_convolution_rows_keep_single_call_bits(stack, data):
-    s, a = stack
-    cert = certificate_of(s)
-    flat, m, _ = _raw(s)
-    b = a[np.random.default_rng(data.draw(st.integers(0, 99))).permutation(a.shape[0])]
-    out = _convolve_raw(cert, a, b)
-    assert out.shape == a.shape
-    for i in range(a.shape[0]):
-        assert out[i].tobytes() == _convolve_raw(cert, a[i], b[i]).tobytes()
-        assert out[i].tobytes() == _convolve(flat, m, a[i], b[i]).tobytes()
-
-
-@SETTINGS
-@given(stacks(), st.lists(EXPONENTS, min_size=1, max_size=6))
-def test_stacked_powers_rows_keep_single_call_bits(stack, ns):
-    s, a = stack
-    cert = certificate_of(s)
-    out = _powers_raw(cert, a, ns)
-    for n, power in zip(ns, out):
-        assert power.shape == a.shape
-        for i in range(a.shape[0]):
-            assert power[i].tobytes() == _powers_raw(cert, a[i], [n])[0].tobytes()
-
-
-@SETTINGS
-@given(stacks(max_size=3), GRID_ORDERS)
-def test_grid_minimum_matches_former_batch_loop(stack, n):
-    s, rows = stack
-    cert = certificate_of(s)
-    table, m, zero = cert.add_table, s.size, cert.zero
-    target = rows[0]
-    got = _grid_minimum_residual(cert, target, n)
-    assert got == old_grid_minimum_residual(table, m, zero, target, n, GRID_RESOLUTION)
-    # any stack, not only grid points, scores as under the former loop
-    stacked = 0.5 * np.abs(_powers_raw(cert, rows, [n])[0] - target[None, :]).sum(axis=1)
-    assert stacked.tobytes() == old_batch_power_residuals(table.ravel(), m, zero, rows, n, target).tobytes()
 
 
 @SETTINGS

@@ -62,4 +62,14 @@ def test_golden_check_names_the_largest_changes():
         "largest absolute change 0.125 (0.25 -> 0.375), largest relative change 1 (1e-10 -> 2e-10)"
     )
     assert describe_change(old, old.replace("0.25", "2.5e-1")) == "only the spelling of its numbers changes"
-    assert describe_change(old, old.replace('"w"', '"v"')) == "the text changes beyond its numbers"
+    assert describe_change(old, old.replace('"w"', '"v"')) == (
+        "the text changes beyond its numbers, first at '{\"w\": [0.25, 1e-10, 3]}' -> '{\"v\": [0.25, 1e-10, 3]}'"
+    )
+    # a number that becomes null: the first such line pair, stripped of its indent
+    before = '{\n  "lower_bound": 0.5,\n  "n": 2,\n  "x": 1e-10\n}\n'
+    after = '{\n  "lower_bound": null,\n  "n": 2,\n  "x": null\n}\n'
+    assert describe_change(before, after) == (
+        "the text changes beyond its numbers, first at '\"lower_bound\": 0.5,' -> '\"lower_bound\": null,'"
+    )
+    # a line that only one side has
+    assert describe_change("[1]\n", "[1]\n[2]\n") == "the text changes beyond its numbers, first at '' -> '[2]'"

@@ -12,6 +12,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from finconv.measures import (
     _tv_raw,
 )
 from finconv.structures import certificate_of
-from helpers import certified
+from helpers import capped_addition, catalog_monoid, certified
 
 SETTINGS = settings(max_examples=40, deadline=None)
 RATES = (0.3, 7.0, 150.0, 699.0, 701.0, 5000.0)
@@ -60,12 +61,6 @@ def clifford_measures(draw):
         w[int(rng.integers(s.size))] += 1.0
         w /= w.sum()
     return fc.measure(s, w)
-
-
-def capped_addition(k):
-    """min(x + y, k) on {0, ..., k}: a monoid whose elements below k lie in no group."""
-    i = np.arange(k + 1)
-    return certified(catalog.from_add_table(np.minimum(i[:, None] + i[None, :], k)))
 
 
 def reference_exp(cert, w, r):
@@ -111,6 +106,29 @@ def test_transform_is_multiplicative_and_invertible(s, seed):
     assert np.abs(points[0] * points[1] - points[2]).max() <= 1e-12
     w = rng.standard_normal(s.size)
     assert np.abs(sc.inverse(sc.forward(w[None, :])[0]) - w).max() <= 1e-12
+
+
+def _real_columns(s):
+    """The semicharacters whose values chi(x), read off the transforms of
+    the point masses, have no imaginary part beyond rounding: the FFT
+    leaves up to 1.1e-16 on Z10 or Z18, while a complex chi of order n
+    takes a value of imaginary part sin(2 pi / n) or more."""
+    sc = certificate_of(s).semicharacters
+    return (np.abs(sc.forward(np.eye(s.size)).imag) <= 1e-12).all(axis=0)
+
+
+@SETTINGS
+@given(clifford_monoids())
+def test_real_mask_marks_the_real_semicharacters(s):
+    assert certificate_of(s).semicharacters.real.tolist() == _real_columns(s).tolist()
+
+
+@pytest.mark.parametrize("kind,a,b,perm_seed", [("cyclic", 256, 0, -1), ("product", 16, 16, 5)])
+def test_real_mask_marks_the_real_semicharacters_at_m256(kind, a, b, perm_seed):
+    s = catalog_monoid(kind, a, b, perm_seed)
+    real = certificate_of(s).semicharacters.real
+    assert real.tolist() == _real_columns(s).tolist()
+    assert real.sum() == (2 if kind == "cyclic" else 2 * 16)  # Z256: 0 and 128; Z16 x J16: two per group
 
 
 @SETTINGS
