@@ -69,6 +69,8 @@ def structure_from_dict(doc: dict) -> FiniteStructure:
             raise ModelError("universe names are not distinct")
     else:
         size = as_integer(universe, '"universe", unless a list of names,')
+    if size < 1:  # before any symbol's table is sized by it
+        raise ModelError("universe must have at least one element")
 
     def resolve_nested(node, depth):
         if depth == 0:

@@ -9,17 +9,25 @@ vector is the general case).
 Formula evaluation enumerates quantifiers over the whole universe; a
 formula with q nested quantifier/grid axes costs m**q and is rejected
 beyond the evaluation budget. A relation atom over distinct variables is
-read by slicing its table, not by a gather. A truth table is filled one
-value of its first grid variable at a time, in blocks of the second, so
-its peak is the output plus a block of scratch (at most half the output
-under one quantifier), not the m**q cells of the whole enumeration.
+read by slicing its table, not by a gather. A quantifier is a 0/1 matrix
+product when its condition (the conjuncts of its body, or of the negated
+body under forall) splits into two sides that share only the bound
+variable w: with the sides' 0/1 tables as matrices G and H over w, the
+count of w satisfying both is G^T H, exact in float32, and exists, forall
+and exists! read counts > 0, == 0 and == 1.
+Every other quantifier broadcasts its body over every value of w. A truth
+table is filled in blocks of rows of its first grid variable, each block
+as large as keeps its largest array (a product's sides and counts, or a
+broadcast body) within half the table, and one row in ranges of the second
+grid variable where a single row would not fit; so the peak is the output
+plus a block of scratch, not the m**q cells of the whole enumeration.
 
 Semigroup certification works on the m**2 addition table wherever sums
 are unique: a declared function's table is the sum, and a formula's table
-is read off its graph one x-row at a time. Commutativity and the neutral
-element are read off the table, and associativity is Light's test over a
-greedy generating set, O(m**2) per generator; the x-slice scan runs only
-to name the first counterexample once a generator fails. Only a formula
+is read off its graph one block of x-rows at a time. Commutativity and the
+neutral element are read off the table, and associativity is Light's test
+over a greedy generating set, O(m**2) per generator; the x-slice scan runs
+only to name the first counterexample once a generator fails. Only a formula
 whose sums are not unique is checked on its m**3 boolean graph: m**3
 float32 counts per x-slice, O(m**5) time in all. A passing
 certificate is installed on the structure, and every operation of the
@@ -30,9 +38,10 @@ guard against an uncertified structure.
 from __future__ import annotations
 
 import hashlib
+import math
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -281,7 +290,117 @@ def _relation_view(table: np.ndarray, args, bind: dict, rank: int) -> np.ndarray
     return np.ascontiguousarray(view.reshape(shape))
 
 
+def _conjuncts(f: fm.Formula) -> list[fm.Formula]:
+    """The top-level conjuncts of f."""
+    if isinstance(f, fm.And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
+
+
+def _negated_conjuncts(f: fm.Formula) -> list[fm.Formula]:
+    """The top-level conjuncts of !f, by !(A -> B) = A & !B, !(A | B) = !A & !B
+    and !!A = A."""
+    if isinstance(f, fm.Implies):
+        return _conjuncts(f.left) + _negated_conjuncts(f.right)
+    if isinstance(f, fm.Or):
+        return _negated_conjuncts(f.left) + _negated_conjuncts(f.right)
+    if isinstance(f, fm.Not):
+        return _conjuncts(f.body)
+    return [fm.Not(f)]
+
+
+def _axes(names, bind: dict, rank: int) -> set[int]:
+    """The axes of a scope of `rank` axes that the variables `names` index."""
+    return {rank - bind[v][1][0] for v in names if bind[v][0] == "axis"}
+
+
+def _product_split(f, bind: dict, rank: int):
+    """Split quantifier f's condition, the conjuncts of its body (or of the
+    negated body under forall), into those without f.var and two sides that
+    share no axis of the scope of `rank` axes; None if the conjuncts with
+    f.var do not fall into at least two groups of axes. bind binds f.var too.
+
+    Returns (outside, (axes, conjuncts), (axes, conjuncts)), all tuples, with
+    the axes of each side sorted; a conjunct that uses f.var but no axis
+    joins the second side.
+    """
+    return _split(f, rank, tuple(sorted((v, b[1][0]) for v, b in bind.items() if b[0] == "axis")))
+
+
+@lru_cache(maxsize=1024)
+def _split(f, rank: int, depths: tuple[tuple[str, int], ...]):
+    """_product_split by the depth of each variable bound to an axis: the
+    split depends on nothing else, so a region's blocks share one."""
+    depth = dict(depths)
+    conditions = _negated_conjuncts(f.body) if isinstance(f, fm.Forall) else _conjuncts(f.body)
+    outside, loose, groups = [], [], []
+    for c in conditions:
+        free = fm.free_variables(c)
+        if f.var not in free:
+            outside.append(c)
+            continue
+        axes = {rank - depth[v] for v in free - {f.var} if v in depth}
+        if not axes:
+            loose.append(c)
+            continue
+        joined = [g for g in groups if g[0] & axes]
+        groups = [g for g in groups if not g[0] & axes]
+        groups.append((axes.union(*(a for a, _ in joined)), [d for _, ds in joined for d in ds] + [c]))
+    if len(groups) < 2:
+        return None
+    *first, (last_axes, last) = groups
+    left = tuple(d for _, ds in first for d in ds)
+    left_axes = set().union(*(a for a, _ in first))
+    return tuple(outside), (tuple(sorted(left_axes)), left), (tuple(sorted(last_axes)), tuple(last + loose))
+
+
+def _eval_all(conjuncts, s: FiniteStructure, bind: dict, shape: tuple[int, ...]):
+    out = _eval_node(conjuncts[0], s, bind, shape)
+    for c in conjuncts[1:]:
+        out = np.logical_and(out, _eval_node(c, s, bind, shape))
+    return out
+
+
+def _with_rank(a, rank: int) -> np.ndarray:
+    """a with leading unit axes up to `rank` axes, as broadcasting aligns it."""
+    return np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
+
+
+def _side(a, axes: tuple[int, ...], full: tuple[int, ...]) -> np.ndarray:
+    """A side of a product quantifier as float32 of shape (m, cells of `axes`):
+    a is its 0/1 table in the quantifier's scope `full`, which varies only
+    along the bound variable (axis 0) and the scope axes `axes` (axis i + 1).
+    The bound variable stays the leading axis, so the cast reads a in order."""
+    dims = [0] + [i + 1 for i in axes]
+    a = np.broadcast_to(_with_rank(a, len(full)), [n if i in dims else 1 for i, n in enumerate(full)])
+    order = dims + [i for i in range(len(full)) if i not in dims]
+    return np.ascontiguousarray(a.transpose(order), dtype=np.float32).reshape(full[0], -1)
+
+
+def _quantify_product(f, s: FiniteStructure, bind: dict, inner: dict, shape: tuple[int, ...], split):
+    """Quantifier f as a 0/1 matrix product: its condition is outside & G & H,
+    where G and H share only the bound variable w, so that counts = G^T H
+    counts the w satisfying both sides. exists is counts > 0, exists! is
+    counts == 1, and forall, whose condition is the negated body, is
+    counts == 0."""
+    outside, (a_axes, left), (b_axes, right) = split
+    full = (s.size,) + shape
+    g = _side(_eval_all(left, s, inner, full), a_axes, full)
+    h = _side(_eval_all(right, s, inner, full), b_axes, full)
+    counts = g.T @ h  # sums of at most m < 2**24 products of 0/1 values: exact in float32
+    hit = counts == 0 if isinstance(f, fm.Forall) else counts > 0 if isinstance(f, fm.Exists) else counts == 1
+    axes = a_axes + b_axes
+    hit = hit.reshape([shape[i] for i in axes]).transpose(np.argsort(axes))
+    hit = hit.reshape([n if i in axes else 1 for i, n in enumerate(shape)])
+    if not outside:
+        return hit
+    out = _eval_all(outside, s, bind, shape)
+    return np.logical_or(np.logical_not(out), hit) if isinstance(f, fm.Forall) else np.logical_and(out, hit)
+
+
 def _eval_node(f, s: FiniteStructure, bind: dict, shape: tuple[int, ...]):
+    """f's truth table over the scope `shape`, as an array that broadcasts to
+    it and varies only along the axes of f's free variables."""
     rank = len(shape)
     if isinstance(f, fm.RelationAtom):
         table = s.relations[f.name].table
@@ -305,15 +424,43 @@ def _eval_node(f, s: FiniteStructure, bind: dict, shape: tuple[int, ...]):
     # arrays of the enclosing scope broadcast against the body unchanged
     inner = dict(bind)
     inner[f.var] = ("axis", (rank + 1, 0, s.size))
-    full = (s.size,) + shape
-    body = _eval_node(f.body, s, inner, full)
-    if np.shape(body) != full:
-        body = np.broadcast_to(body, full)
+    split = _product_split(f, inner, rank)
+    if split is not None:
+        return _quantify_product(f, s, bind, inner, shape, split)
+    body = _with_rank(_eval_node(f.body, s, inner, (s.size,) + shape), rank + 1)
+    body = np.broadcast_to(body, (s.size,) + body.shape[1:])
     if isinstance(f, fm.Forall):
         return body.all(axis=0)
     if isinstance(f, fm.Exists):
         return body.any(axis=0)
     return np.count_nonzero(body, axis=0) == 1
+
+
+def _scratch(f, m: int, bind: dict, shape: tuple[int, ...]) -> int:
+    """Bytes of the largest array that evaluating f over `shape` materialises:
+    a broadcast quantifier's body, or a product quantifier's two float32
+    sides and its counts, taken together."""
+    if isinstance(f, fm.Not):
+        return _scratch(f.body, m, bind, shape)
+    if isinstance(f, (fm.And, fm.Or, fm.Implies)):
+        return max(_scratch(f.left, m, bind, shape), _scratch(f.right, m, bind, shape))
+    if not isinstance(f, fm.QUANTIFIERS):
+        return 0
+    rank = len(shape)
+    inner = dict(bind)
+    inner[f.var] = ("axis", (rank + 1, 0, m))
+    full = (m,) + shape
+    split = _product_split(f, inner, rank)
+    if split is None:
+        body = m * math.prod(shape[i] for i in _axes(fm.free_variables(f), bind, rank))
+        return max(body, _scratch(f.body, m, inner, full))
+    outside, (a_axes, left), (b_axes, right) = split
+    a, b = (math.prod(shape[i] for i in axes) for axes in (a_axes, b_axes))
+    return max(
+        4 * (a * m + b * m + a * b),
+        *(_scratch(c, m, bind, shape) for c in outside),
+        *(_scratch(c, m, inner, full) for c in left + right),
+    )
 
 
 def _check_budget(m: int, axes: int) -> None:
@@ -323,45 +470,69 @@ def _check_budget(m: int, axes: int) -> None:
         raise BudgetExceededError(f"enumeration over {axes} axes exceeds numpy's limit of {MAX_AXES} array axes")
 
 
-def _region_setup(s: FiniteStructure, f: fm.Formula, grid_vars, env) -> tuple[dict, int]:
-    """The bindings of f's non-grid variables and f's enumeration axes;
-    refuses a tree higher than MAX_NESTING, an unbound variable and an
-    enumeration over EVAL_BUDGET."""
+def _region_setup(s: FiniteStructure, f: fm.Formula, grid_vars, env) -> dict:
+    """The bindings of f's non-grid variables; refuses a tree higher than
+    MAX_NESTING, an unbound variable and an enumeration over EVAL_BUDGET."""
     fm.check_height(f)
     env = env or {}
     missing = fm.free_variables(f) - set(grid_vars) - set(env)
     if missing:
         raise FreeVariableError(f"unbound free variables: {sorted(missing)}")
-    axes = len(grid_vars) + fm.quantifier_depth(f)
-    _check_budget(s.size, axes)
-    bind = {name: ("value", s.element_index(value)) for name, value in env.items() if name not in grid_vars}
-    return bind, axes
+    _check_budget(s.size, len(grid_vars) + fm.quantifier_depth(f))
+    return {name: ("value", s.element_index(value)) for name, value in env.items() if name not in grid_vars}
 
 
-def _region_rows(s: FiniteStructure, f: fm.Formula, grid_vars: tuple[str, ...], bind: dict, axes: int):
-    """Yield the truth table of f at each value of grid_vars[0] in turn.
+def _block_size(cost, n: int, limit: int) -> int:
+    """The largest block k in 1..n that the chord of cost between 1 and n
+    keeps within limit, and 1 if none. Every array of a block is affine in
+    k, so their largest, cost(k), is convex and lies under that chord."""
+    lo, hi = cost(1), cost(n)
+    if hi <= limit:
+        return n
+    if lo >= limit:
+        return 1
+    return 1 + (limit - lo) * (n - 1) // (hi - lo)
 
-    A row is filled one block of grid_vars[1] at a time. A block's scratch,
-    block * m**(axes - 2) cells, is at most half the whole table where one
-    value of grid_vars[1] allows it, and m**(axes - 2) cells otherwise.
+
+def _region_rows(s: FiniteStructure, f: fm.Formula, grid_vars: tuple[str, ...], bind: dict):
+    """Yield the truth table of f in blocks of rows, as (x, block): block[i]
+    is the table at grid_vars[0] = x + i.
+
+    Each block is one evaluation over a range of grid_vars[0]. Its size is
+    chosen so that the largest array the evaluation materialises (_scratch:
+    a broadcast quantifier body, or a product quantifier's sides and counts),
+    and the block itself, stay within half the whole table. Where one row
+    exceeds that, a block is one row, filled one range of grid_vars[1] at a
+    time, sized the same way: at least one value of each.
     """
-    m = s.size
-    first, rest = grid_vars[0], grid_vars[1:]
+    m, n = s.size, len(grid_vars)
     bind = dict(bind)
-    for i, v in enumerate(rest[1:], 1):
-        bind[v] = ("axis", (len(rest) - i, 0, m))
-    step = max(1, m ** len(grid_vars) // (2 * m ** (axes - 2))) if rest else m
-    for x in range(m):
-        bind[first] = ("value", x)
-        if not rest:
-            yield _eval_node(f, s, bind, ())
+    for i, v in enumerate(grid_vars[2:], 2):
+        bind[v] = ("axis", (n - i, 0, m))
+
+    def grid(x: int, rows: int, y: int = 0, cols: int = m) -> tuple[int, ...]:
+        bind[grid_vars[0]] = ("axis", (n, x, x + rows))
+        if n == 1:
+            return (rows,)
+        bind[grid_vars[1]] = ("axis", (n - 1, y, y + cols))
+        return (rows, cols) + (m,) * (n - 2)
+
+    def cost(rows: int, cols: int = m) -> int:
+        shape = grid(0, rows, 0, cols)
+        return max(math.prod(shape), _scratch(f, m, bind, shape))
+
+    limit = m**n // 2
+    rows = _block_size(cost, m, limit)
+    cols = m if n == 1 or cost(1) <= limit else _block_size(lambda k: cost(1, k), m, limit)
+    for x in range(0, m, rows):
+        if cols == m:
+            shape = grid(x, min(rows, m - x))
+            yield x, np.broadcast_to(_eval_node(f, s, bind, shape), shape)
             continue
-        row = np.empty((m,) * len(rest), dtype=bool)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            bind[rest[0]] = ("axis", (len(rest), lo, hi))
-            row[lo:hi] = _eval_node(f, s, bind, (hi - lo,) + (m,) * (len(rest) - 1))
-        yield row
+        row = np.empty((1,) + (m,) * (n - 1), dtype=bool)
+        for y in range(0, m, cols):
+            row[:, y : y + cols] = _eval_node(f, s, bind, grid(x, 1, y, min(cols, m - y)))
+        yield x, row
 
 
 def evaluate_region(
@@ -373,18 +544,21 @@ def evaluate_region(
     """Truth table of f over the grid of `grid_vars`, other free vars from env.
 
     The result has shape (m,)*len(grid_vars), axis i indexed by grid_vars[i].
-    It is filled row by row (see _region_rows), so the peak is the result
-    plus one row and a block of scratch, not the m**axes cells of the whole
-    enumeration.
+    It is filled in blocks of rows (see _region_rows), each block as large
+    as keeps the largest array its evaluation makes within half the result;
+    a quantifier whose condition splits into two sides sharing only its
+    bound variable is one float32 matrix product, every other one a
+    broadcast body. So the peak is the result plus a block and its scratch,
+    not the m**axes cells of the whole enumeration.
     """
     if len(set(grid_vars)) < len(grid_vars):
         raise FreeVariableError(f"grid variables must be distinct, got {list(grid_vars)}")
-    bind, axes = _region_setup(s, f, grid_vars, env)
+    bind = _region_setup(s, f, grid_vars, env)
     if not grid_vars:
         return np.array(_eval_node(f, s, bind, ()), dtype=bool)
     out = np.empty((s.size,) * len(grid_vars), dtype=bool)
-    for x, row in enumerate(_region_rows(s, f, grid_vars, bind, axes)):
-        out[x] = row
+    for x, block in _region_rows(s, f, grid_vars, bind):
+        out[x : x + len(block)] = block
     return out
 
 
@@ -592,13 +766,18 @@ def verify_semigroup(s: FiniteStructure) -> SemigroupCertificate:
 
     Cost: when the semigroup is a declared binary function, its m**2 table
     is the sum and no graph is built; m**3 is still held to EVAL_BUDGET, as
-    the graph of fn(x, y) = z would be. Otherwise the graph
-    of theta is evaluated one x-row (m**2 cells) at a time and the table is
-    read off each row, so the m**3 graph is never held while sums are
-    unique. On the table, commutativity and the neutral element cost
-    O(m**2), and associativity runs Light's test: (x+g)+y = x+(g+y) for
-    every x, y and every g of a greedy generating set, O(m**2) time and
-    memory per generator. Only when a generator fails does the x-slice scan
+    the graph of fn(x, y) = z would be. Otherwise the graph of theta is
+    evaluated in blocks of x-rows (_region_rows), each block as large as
+    keeps its largest array within half the m**3 graph, and the table is
+    read off each block, so the m**3 graph is never held while sums are
+    unique. A quantifier of theta whose condition splits into two sides
+    sharing only its bound variable, such as the forall w of the
+    least-upper-bound formula, is one float32 matrix product per block,
+    O(m**4) multiply-adds in BLAS in all; any other quantifier broadcasts
+    its body, m**4 booleans for one quantifier. On the table, commutativity
+    and the neutral element cost O(m**2), and associativity runs Light's
+    test: (x+g)+y = x+(g+y) for every x, y and every g of a greedy
+    generating set, O(m**2) time and memory per generator. Only when a generator fails does the x-slice scan
     (O(m**2) scratch per slice, O(m**3) time) run, to name the first
     counterexample. When sums are not unique, the whole m**3 boolean graph
     is evaluated; commutativity is scanned on it one x-slice at a time, and
@@ -620,16 +799,16 @@ def verify_semigroup(s: FiniteStructure) -> SemigroupCertificate:
         _check_budget(m, len(SEMIGROUP_VARS))  # refused as the graph of fn(x, y) = z would be
         add = s.functions[s.semigroup_spec["function"]].table.base  # the writeable array under the symbol's view
     else:
-        # read the table off the graph one x-row at a time; only a relation
-        # whose sums are not unique needs the whole graph
-        bind, axes = _region_setup(s, theta, SEMIGROUP_VARS, None)
+        # read the table off the graph one block of x-rows at a time; only a
+        # relation whose sums are not unique needs the whole graph
+        bind = _region_setup(s, theta, SEMIGROUP_VARS, None)
         add = np.empty((m, m), dtype=np.int64)
-        for x, row in enumerate(_region_rows(s, theta, SEMIGROUP_VARS, bind, axes)):  # row[y, z] = theta(x, y, z)
-            y = _first_true(row.sum(axis=1, dtype=np.uint16) != 1)  # m <= 464 fits in uint16
-            if y is not None:
-                cex1 = (x, *y)
+        for x, block in _region_rows(s, theta, SEMIGROUP_VARS, bind):  # block[i, y, z] = theta(x + i, y, z)
+            xy = _first_true(block.sum(axis=2, dtype=np.uint16) != 1)  # m <= 464 fits in uint16
+            if xy is not None:
+                cex1 = (x + xy[0], xy[1])
                 break
-            add[x] = row.argmax(axis=1)
+            add[x : x + len(block)] = block.argmax(axis=2)
         if cex1 is not None:
             add = None
             graph = evaluate_region(s, theta, SEMIGROUP_VARS)

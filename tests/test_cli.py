@@ -355,6 +355,9 @@ MALFORMED_MODELS = {
     "semigroup-text": _c2_with(semigroup="add"),
     "semigroup-function-list": _c2_with(semigroup={"function": ["add"]}),
     "universe-boolean": _c2_with(universe=True, functions={"add": {"arity": 2, "table": [[0]]}}, constants={}),
+    # a universe below one element is refused before any symbol's table is sized by it
+    "universe-negative-relation": _leq_with([[0, 0]]) | {"universe": -1},
+    "universe-negative-function": _c2_with(universe=-2),
     # entries beyond int64 must not overflow the table conversion
     "huge-entry": _add_with(table=[[0, 10**23], [1, 0]]),
     "huge-float-entry": _add_with(table=[[0, 1e300], [1, 0]]),
@@ -390,6 +393,12 @@ def test_malformed_model_is_input_error(tmp_path, name):
 def test_function_arity_below_one_is_refused(tmp_path, name):
     proc = run_cli("verify", _write_model(tmp_path / "model.json", MALFORMED_MODELS[name]))
     assert proc.stderr == "error: function 'f': arity must be at least 1\n"
+
+
+@pytest.mark.parametrize("name", ["universe-negative-relation", "universe-negative-function"])
+def test_universe_below_one_element_is_refused(tmp_path, name):
+    proc = run_cli("verify", _write_model(tmp_path / "model.json", MALFORMED_MODELS[name]))
+    assert proc.stderr == "error: universe must have at least one element\n"
 
 
 DEEP_JSON = "[" * 5000 + "]" * 5000  # raw text: json.dumps recurses as deep as the value

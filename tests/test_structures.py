@@ -2,10 +2,12 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finconv as fc
 import finconv.formulas as fm
-from finconv import catalog
+from finconv import catalog, structures
 from finconv.errors import BudgetExceededError, FreeVariableError, ModelError
 from finconv.structures import FiniteStructure, RelationSymbol
 from helpers import certified, random_formula, random_semigroup, scalar_eval
@@ -115,6 +117,100 @@ def test_evaluate_region_refuses_a_repeated_grid_variable():
     with pytest.raises(FreeVariableError, match=r"^grid variables must be distinct, got \['x', 'x'\]$"):
         fc.evaluate_region(s, f, ("x", "x"))
     assert fc.evaluate_region(s, f, ("x",)).tolist() == [False, False, True]
+
+
+@st.composite
+def quantified_regions(draw):
+    """A structure with m <= 6 (random_semigroup, or its relation model) and
+    one of forall w (A -> B), forall w (A | B), exists w (A & B) and
+    exists! w (A & B) over a grid of two or three variables. A and B are
+    conjunctions of atoms whose variables are drawn from two sets of grid
+    variables and w, with function terms and constants: disjoint sets make a
+    product quantifier, overlapping ones a broadcast."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = random_semigroup(rng, max_m=6)
+    if draw(st.booleans()):
+        s = catalog.relation_model(s)
+    grid = tuple(draw(st.permutations(["x", "y", "z"]))[: draw(st.integers(2, 3))])
+    constants = sorted(s.element_names)
+
+    def term(names, depth=1):
+        kinds = ["var", "var", "const"] + (["apply"] if s.functions and depth else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "var":
+            return fm.Var(draw(st.sampled_from(names)))
+        if kind == "const":
+            label = draw(st.sampled_from(constants))
+            return fm.Const(label, s.element_names[label])
+        return fm.Apply("add", (term(names, depth - 1), term(names, depth - 1)))
+
+    def atom(names):
+        if "theta" in s.relations and draw(st.booleans()):
+            return fm.RelationAtom("theta", tuple(term(names) for _ in range(3)))
+        return fm.EqualityAtom(term(names), term(names))
+
+    def side(names):
+        # a first atom on w and a grid variable, maybe one drawn freely, and
+        # maybe one without w, which is applied outside the product
+        v, w = fm.Var(names[0]), fm.Var("w")
+        if "theta" in s.relations:
+            atoms = [fm.RelationAtom("theta", (v, w, term(names)))]
+        else:
+            atoms = [fm.EqualityAtom(fm.Apply("add", (v, w)), term(names))]
+        if draw(st.booleans()):
+            atoms.append(atom(names))
+        if draw(st.booleans()):
+            atoms.append(atom(names[:-1]))
+        out = atoms[0]
+        for a in atoms[1:]:
+            out = fm.And(out, a)
+        return out
+
+    cut = draw(st.integers(1, len(grid) - 1))
+    left, right = list(grid[:cut]), list(grid[cut:])
+    if draw(st.booleans()):  # the sides share a grid variable
+        right.insert(0, left[0])
+    if draw(st.booleans()):  # the first side on the later axes
+        left, right = right, left
+    a, b = side(left + ["w"]), side(right + ["w"])
+    form = draw(st.sampled_from(["forall ->", "forall |", "exists &", "exists! &"]))
+    quantifier, connective = form.split()
+    body = {"->": fm.Implies, "|": fm.Or, "&": fm.And}[connective](a, b)
+    f = {"forall": fm.Forall, "exists": fm.Exists, "exists!": fm.ExistsUnique}[quantifier]("w", body)
+    return s, f, grid
+
+
+@given(quantified_regions())
+@settings(max_examples=150, deadline=None)
+def test_quantifiers_by_product_and_by_broadcast_match_scalar_oracle(case):
+    s, f, grid = case
+    table = fc.evaluate_region(s, f, grid)
+    for cell in iproduct(range(s.size), repeat=len(grid)):
+        assert table[cell] == scalar_eval(s, f, dict(zip(grid, cell)))
+    # at m <= 6 the blocks of evaluate_region hold one cell of the first two
+    # grid variables; one evaluation of the whole grid multiplies sides over
+    # several axes, in either order
+    m, n = s.size, len(grid)
+    bind = {v: ("axis", (n - i, 0, m)) for i, v in enumerate(grid)}
+    assert np.array_equal(np.broadcast_to(structures._eval_node(f, s, bind, (m,) * n), table.shape), table)
+
+
+def test_product_split_groups_conjuncts_by_axes():
+    # the least-upper-bound formula's forall: !(A -> B) = A & !B gives
+    # conjuncts on x, y and z, each with w; the product is G(x, y, w) H(z, w)
+    s = catalog.chain_poset(3)
+    bind = {"x": ("axis", (3, 0, 3)), "y": ("axis", (2, 0, 3)), "z": ("axis", (1, 0, 3)), "w": ("axis", (4, 0, 3))}
+    forall = fm.parse_formula(catalog.LUB_FORMULA, s).right
+    outside, (a_axes, left), (b_axes, right) = structures._product_split(forall, bind, 3)
+    assert outside == () and (a_axes, b_axes) == ((0, 1), (2,))
+    assert [fm.pretty_print(c) for c in left + right] == ["leq(x, w)", "leq(y, w)", "!leq(z, w)"]
+    # conjuncts that share x are one group: no product, the body is broadcast
+    shared = fm.parse_formula("exists w. leq(x, w) & (leq(y, w) | leq(w, x))", s)
+    assert structures._product_split(shared, bind, 3) is None
+    # x bound to a value is no axis: leq(x, w) joins the second side
+    split = structures._product_split(forall, {**bind, "x": ("value", 1)}, 3)
+    leq = fm.parse_formula("leq(y, w) & leq(z, w) & leq(x, w)", s)
+    assert split[1:] == (((1,), (leq.left.left,)), ((2,), (fm.Not(leq.left.right), leq.right)))
 
 
 # --- definable_set -----------------------------------------------------------

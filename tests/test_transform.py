@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import finconv as fc
 from finconv import catalog
+from finconv.errors import MeasureError
 from finconv.measures import (
     _normalised,
     _right_operator,
@@ -201,3 +202,35 @@ def test_transform_exponentials_reach_the_exact_chain_values():
         got = _transform_exps_raw(certificate_of(s), mu.weights, [r])[0]
         error = math.fsum(abs(float(Decimal(g) - e)) for g, e in zip(got.tolist(), exact))
         assert error <= (1 + r) * s.size * np.finfo(float).eps, r
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 13: a tol below the transform's rounding floor is accepted"
+)
+def test_transform_exponential_meets_or_refuses_a_tolerance_below_its_rounding_floor():
+    """On the Boolean lattice J2^7 (bitwise OR on 7 bits) the exponential is
+    the Moebius inverse of exp(r(Z - 1)), Z the zeta transform of mu; checked
+    at 50 digits. The transform's rounding leaves it about 5e-15 away in
+    total variation, so tol = 1e-16 cannot be met: it must be refused, yet
+    it is accepted."""
+    i = np.arange(128)
+    s = certified(catalog.from_add_table(i[:, None] | i[None, :]))
+    mu = fc.measure(s, np.random.default_rng(11).dirichlet(0.3 * np.ones(128)))
+    try:
+        got = fc.conv_exp(mu, 0.5, tol=1e-16)
+    except MeasureError:
+        return
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z = [Decimal(v) for v in mu.weights.tolist()]
+        for bit in range(7):  # zeta: z[S] = mu of the subsets of S
+            for S in range(128):
+                if S >> bit & 1:
+                    z[S] += z[S ^ 1 << bit]
+        exact = [(Decimal("0.5") * (v - 1)).exp() for v in z]
+        for bit in range(7):  # Moebius inversion of the zeta step above
+            for S in range(128):
+                if S >> bit & 1:
+                    exact[S] -= exact[S ^ 1 << bit]
+    tv = math.fsum(abs(float(Decimal(g) - e)) for g, e in zip(got.weights.tolist(), exact)) / 2
+    assert tv <= 1e-16
