@@ -19,13 +19,17 @@ Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
 the increments of one right factor X(t) together, as one stack of left
 factors (measures._products_raw, with the bits of the convolution kernel,
-never through the transform that may have built the path). A
-timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
-lists stay within EVAL_BUDGET.
+never through the transform that may have built the path). When X(0) is
+bit for bit the point mass at 0, the start rows X(0) * X(t) skip the
+kernel: each is X(t) + 0.0, the kernel's own result. A timeline holds at
+most MAX_TICKS ticks, so that the T^2 / 4 pairs it lists stay within
+EVAL_BUDGET.
 
 The worst-pair rule (_worst): a path report names the largest gap above
 0 and, among equal gaps, the smallest key, tick indices (i, j) or k. Gaps
-are scored as they come, so memory grows with the ticks, not the pairs.
+are scored a stack at a time (_gaps), with the bits of scoring each pair
+alone, and only the worst so far is kept, so memory grows with the ticks,
+not the pairs.
 
 A generator holds its jump measure's weights as that measure's read-only
 array, 8 bytes a weight, and is written as the list of those floats.
@@ -52,7 +56,6 @@ from .measures import (
     _normalised,
     _powers_raw,
     _products_raw,
-    _tv_raw,
     conv_exps,
     conv_powers,
     dirac,
@@ -311,6 +314,18 @@ def _worst(scored) -> tuple[float, object, int]:
     return worst, at, count
 
 
+def _gaps(products: np.ndarray, targets: np.ndarray) -> list[float]:
+    """_tv_raw(target, _normalised(product)) for each row pair of two (B, m)
+    stacks, to its bits: the products' exactly rounded totals from one
+    tolist, one division and one absolute difference for the whole stack.
+    A row with a negative entry goes through _normalised, which clamps it
+    or refuses it as the single pair would."""
+    normal = products / np.array([math.fsum(row) for row in products.tolist()])[:, None]
+    for b in np.flatnonzero(products.min(axis=1) < 0.0):
+        normal[b] = _normalised(products[b])
+    return [min(1.0, 0.5 * math.fsum(row)) for row in np.abs(targets - normal).tolist()]
+
+
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
@@ -319,6 +334,13 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     squares; each value is tv_distance(X(s + t), convolve(X(s), X(t))) or
     tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
     module's contract states; worst pairs follow the module's worst-pair rule.
+
+    Start rows: when X(0) is bit for bit the point mass at 0 and every
+    weight is finite, the product X(0) * X(t) is taken as X(t) + 0.0, which
+    is what the kernel returns for it (each other term adds 0.0 * X(t)(y),
+    which only turns a -0.0 into 0.0); any other start goes through the
+    kernel. Gaps are scored a stack at a time (_gaps), with the bits of
+    scoring each pair on its own.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
@@ -326,19 +348,31 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
         _check_pair(path.marginals[0], mu)
     ticks = path.timeline.ticks
     cert = certificate_of(path.structure)
-    start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))
+    unit = dirac(path.structure, cert.zero)
+    start_error = tv_distance(path.marginals[0], unit)
     weights = np.array([mu.weights for mu in path.marginals])
+    unit_start = weights[0].tobytes() == unit.weights.tobytes() and bool(np.isfinite(weights).all())
 
-    worst_increment, inc, increments_checked = _worst(
-        (_tv_raw(weights[k], _normalised(product)), (i, j))
-        for j, pairs in path.timeline.increments()
-        for (i, k), product in zip(pairs, _products_raw(cert, weights[[i for i, _ in pairs]], weights[j]))
-    )
-    worst_division, div, divisions_checked = _worst(
-        (_tv_raw(_normalised(power), weights[j]), (i, j, n))
-        for i, pairs in path.timeline.divisions()
-        for (j, n), power in zip(pairs, _powers_raw(cert, weights[i], [n for _, n in pairs]))
-    )
+    def increments():
+        for j, pairs in path.timeline.increments():
+            left = [i for i, _ in pairs]
+            skip = int(unit_start and left[0] == 0)
+            products = np.empty((len(left), weights.shape[1]))
+            if skip:
+                products[0] = weights[j] + 0.0
+            if len(left) > skip:
+                products[skip:] = _products_raw(cert, weights[left[skip:]], weights[j])
+            gaps = _gaps(products, weights[[k for _, k in pairs]])
+            yield from zip(gaps, ((i, j) for i in left))
+
+    def divisions():
+        for i, pairs in path.timeline.divisions():
+            powers = np.array(_powers_raw(cert, weights[i], [n for _, n in pairs]))
+            gaps = _gaps(powers, weights[[j for j, _ in pairs]])
+            yield from zip(gaps, ((i, j, n) for j, n in pairs))
+
+    worst_increment, inc, increments_checked = _worst(increments())
+    worst_division, div, divisions_checked = _worst(divisions())
     return LevyValidationReport(
         tol=float(tol),
         start_error=start_error,
@@ -425,9 +459,8 @@ def export_path(path: LevyPath) -> str:
         f"# structure: size={m} fingerprint={path.structure.fingerprint}",
         "t," + ",".join(f"w_{i}" for i in range(m)),
     ]
-    for t, mu in zip(path.timeline.ticks, path.marginals):
-        row = [format(float(t), ".17g")] + [format(float(w), ".17g") for w in mu.weights]
-        lines.append(",".join(row))
+    row = ",".join(["%.17g"] * (m + 1))  # the bytes of format(x, ".17g") for each float
+    lines.extend(row % (float(t), *mu.weights.tolist()) for t, mu in zip(path.timeline.ticks, path.marginals))
     return "\n".join(lines) + "\n"
 
 

@@ -686,7 +686,9 @@ def _generators(add: np.ndarray) -> list[int]:
         while new.size:  # the newest elements times every element so far, both ways round
             members = np.flatnonzero(inside)
             products = np.concatenate((add[np.ix_(new, members)].ravel(), add[np.ix_(members, new)].ravel()))
-            new = np.unique(products[~inside[products]])
+            fresh = np.zeros(m, dtype=bool)  # a mask, not np.unique, whose first call imports numpy.ma
+            fresh[products] = True
+            new = np.flatnonzero(fresh & ~inside)
             inside[new] = True
     return gens
 

@@ -161,7 +161,9 @@ def semicharacters(add: np.ndarray) -> Semicharacters | None:
     e = _idempotent_powers(add)
     if not (add[np.arange(m), e] == np.arange(m)).all():
         return None
-    idempotents = np.unique(e)
+    idempotent = np.zeros(m, dtype=bool)  # a mask, not np.unique, whose first call imports numpy.ma
+    idempotent[e] = True
+    idempotents = np.flatnonzero(idempotent)
     moebius = _moebius(add, idempotents)
     if moebius is None:
         return None

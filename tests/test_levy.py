@@ -12,7 +12,7 @@ import finconv as fc
 from finconv import fileio
 from finconv.errors import BudgetExceededError, MeasureError, StructureMismatchError, TimelineError
 from finconv.levy import MAX_TICKS, TICK_MATCH_TOL
-from finconv.structures import EVAL_BUDGET
+from finconv.structures import EVAL_BUDGET, certificate_of
 from helpers import (
     catalog_monoid,
     iterative_power,
@@ -232,6 +232,23 @@ def test_manifest_round_trip_keeps_generator_bytes(z8, tmp_path):
         assert not back.generator["weights"].flags.writeable
 
 
+ODD_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0 - 2.0**-53, 1.0, 0.1, 1e308]
+
+
+@SETTINGS
+@example([ODD_FLOATS])
+@given(st.lists(st.lists(st.one_of(st.sampled_from(ODD_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=9, max_size=9), min_size=1, max_size=4))
+def test_export_rows_are_the_per_float_format(rows):
+    """export_path formats a row at once; each float keeps the bytes of
+    format(x, ".17g"): subnormals, -0.0, 1e-300 and 1 - ulp among them."""
+    s = catalog_monoid("cyclic", 9, 0, -1)
+    ticks = tuple(k / 3 for k in range(len(rows)))
+    path = fc.LevyPath(fc.Timeline("samples", ticks), tuple(fc.Measure(np.array(w), s) for w in rows), {})
+    want = [",".join(format(x, ".17g") for x in (t, *w)) for t, w in zip(ticks, rows)]
+    assert fc.export_path(path).splitlines()[3:] == want
+
+
 def _export_rows(path):
     lines = fc.export_path(path).splitlines()
     head = [line for line in lines if line.startswith(("#", "t,"))]
@@ -423,6 +440,45 @@ def test_first_worst_pair_is_reported(path):
     assert report.increment_at == first_worst(values, [(float(ticks[i]), float(ticks[j])) for i, j, _ in increments])
     values = [fc.tv_distance(fc.conv_power(marg[i], n), marg[j]) for i, j, n in divisions]
     assert report.division_at == first_worst(values, [(float(ticks[j]), n) for _, j, n in divisions])
+
+
+@pytest.mark.parametrize("kind,a,b,perm_seed", [("cyclic", 256, 0, -1), ("product", 16, 16, 5)])
+def test_validation_matches_the_reference_scan_at_m256(kind, a, b, perm_seed):
+    """At the benchmark's size, on Z256 (a group: the gather kernel) and the
+    relabelled Z16 x J16 (per-row bincounts): exponential paths on the
+    16-step grid and on rational ticks start at the unit, whose start rows
+    skip the kernel; a path drawn from a pool of two measures does not."""
+    s = catalog_monoid(kind, a, b, perm_seed)
+    rng = np.random.default_rng(256)
+    pool = [fc.measure(s, rng.dirichlet(np.ones(s.size))) for _ in range(2)]
+    grid = fc.make_timeline("uniform_grid", 16)
+    rationals = fc.make_timeline("rationals", [Fraction(k, d) for d in (3, 4, 6) for k in range(1, d)])
+    paths = [fc.levy_from_exponential(pool[0], 20.0, timeline, 1e-9) for timeline in (grid, rationals)]
+    paths.append(fc.LevyPath(grid, tuple(pool[int(k)] for k in rng.integers(0, 2, size=len(grid))), {}))
+    for path in paths:
+        for tol in (0.0, 17e-9):
+            assert report_bits(fc.validate_levy(path, tol)) == report_bits(reference_validate_levy(path, tol))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "chain"])
+@pytest.mark.parametrize("low", [-1e-13, -1e-5])
+def test_negative_products_are_clamped_or_refused_as_pair_by_pair(kind, low):
+    """Hand-built marginals with a negative weight make negative products:
+    scored a stack at a time, a row within the clamp tolerance is clamped
+    to the report's bits of the pair-by-pair scan, and one below it is
+    refused as that scan refuses it."""
+    s = catalog_monoid(kind, 5, 0, -1)
+    rng = np.random.default_rng(5)
+    rows = rng.dirichlet(np.ones(5), size=5)
+    rows[1:, 2] = low
+    rows[0] = fc.dirac(s, certificate_of(s).zero).weights
+    path = fc.LevyPath(fc.make_timeline("uniform_grid", 4), tuple(fc.Measure(w, s) for w in rows), {})
+    if low < -1e-9:  # the scans visit pairs in different orders, so the weight named may differ
+        for validate in (fc.validate_levy, reference_validate_levy):
+            with pytest.raises(MeasureError, match="below the clamp tolerance"):
+                validate(path, 1e-9)
+    else:
+        assert report_bits(fc.validate_levy(path, 1e-9)) == report_bits(reference_validate_levy(path, 1e-9))
 
 
 def test_validation_memory_stays_with_the_ticks():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import finconv.formulas as fm
 from finconv import catalog, structures
 from finconv.errors import BudgetExceededError, FreeVariableError, ModelError
 from finconv.structures import FiniteStructure, RelationSymbol
-from helpers import certified, random_formula, random_semigroup, scalar_eval
+from helpers import capped_addition, catalog_monoid, certified, random_formula, random_semigroup, scalar_eval
 
 
 @pytest.fixture(scope="module")
@@ -466,3 +470,54 @@ def test_random_zoo_always_certifies():
     for _ in range(60):
         s = random_semigroup(rng)
         assert s.certificate is not None and s.certificate.passed
+
+
+def unique_generators(add):
+    """_generators as it was written with np.unique: the reference for its mask form."""
+    m = add.shape[0]
+    inside = np.zeros(m, dtype=bool)
+    gens = []
+    for g in range(m):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        new = np.array([g])
+        while new.size:
+            members = np.flatnonzero(inside)
+            products = np.concatenate((add[np.ix_(new, members)].ravel(), add[np.ix_(members, new)].ravel()))
+            new = np.unique(products[~inside[products]])
+            inside[new] = True
+    return gens
+
+
+def test_generators_match_their_unique_form_on_the_zoo():
+    rng = np.random.default_rng(23)
+    zoo = [random_semigroup(rng) for _ in range(60)]
+    zoo += [catalog_monoid(kind, a, b, seed) for kind, a, b in (("chain", 40, 0), ("product", 6, 7), ("group", 4, 6))
+            for seed in (-1, 1)]
+    zoo += [capped_addition(9), catalog.relation_model(certified(catalog.cyclic_group(6)))]
+    for s in zoo:
+        add = fc.verify_semigroup(s).add_table
+        assert structures._generators(add) == unique_generators(add)
+
+
+CERTIFY_WITHOUT_NUMPY_MA = """
+import sys
+import finconv as fc
+from finconv import catalog
+factors = [catalog.cyclic_group(4), catalog.chain_semilattice(3)]
+for f in factors:
+    fc.verify_semigroup(f)
+assert fc.verify_semigroup(catalog.product_of(*factors)).semicharacters is not None
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_certifying_a_table_imports_no_numpy_ma():
+    """np.unique imports numpy.ma on its first call in a process, 12 ms and
+    over 1 MB: certification and the transform it caches never call it."""
+    src = str(Path(fc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CERTIFY_WITHOUT_NUMPY_MA], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
