@@ -19,11 +19,9 @@ Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
 the increments of one right factor X(t) together, as one stack of left
 factors (measures._products_raw, with the bits of the convolution kernel,
-never through the transform that may have built the path). When X(0) is
-bit for bit the point mass at 0, the start rows X(0) * X(t) skip the
-kernel: each is X(t) + 0.0, the kernel's own result. A timeline holds at
-most MAX_TICKS ticks, so that the T^2 / 4 pairs it lists stay within
-EVAL_BUDGET.
+never through the transform that may have built the path). A
+timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
+lists stay within EVAL_BUDGET.
 
 The worst-pair rule (_worst): a path report names the largest gap above
 0 and, among equal gaps, the smallest key, tick indices (i, j) or k. Gaps
@@ -334,13 +332,8 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     squares; each value is tv_distance(X(s + t), convolve(X(s), X(t))) or
     tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
     module's contract states; worst pairs follow the module's worst-pair rule.
-
-    Start rows: when X(0) is bit for bit the point mass at 0 and every
-    weight is finite, the product X(0) * X(t) is taken as X(t) + 0.0, which
-    is what the kernel returns for it (each other term adds 0.0 * X(t)(y),
-    which only turns a -0.0 into 0.0); any other start goes through the
-    kernel. Gaps are scored a stack at a time (_gaps), with the bits of
-    scoring each pair on its own.
+    Gaps are scored a stack at a time (_gaps), with the bits of scoring each
+    pair on its own.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
@@ -348,21 +341,13 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
         _check_pair(path.marginals[0], mu)
     ticks = path.timeline.ticks
     cert = certificate_of(path.structure)
-    unit = dirac(path.structure, cert.zero)
-    start_error = tv_distance(path.marginals[0], unit)
+    start_error = tv_distance(path.marginals[0], dirac(path.structure, cert.zero))
     weights = np.array([mu.weights for mu in path.marginals])
-    unit_start = weights[0].tobytes() == unit.weights.tobytes() and bool(np.isfinite(weights).all())
 
     def increments():
         for j, pairs in path.timeline.increments():
             left = [i for i, _ in pairs]
-            skip = int(unit_start and left[0] == 0)
-            products = np.empty((len(left), weights.shape[1]))
-            if skip:
-                products[0] = weights[j] + 0.0
-            if len(left) > skip:
-                products[skip:] = _products_raw(cert, weights[left[skip:]], weights[j])
-            gaps = _gaps(products, weights[[k for _, k in pairs]])
+            gaps = _gaps(_products_raw(cert, weights[left], weights[j]), weights[[k for _, k in pairs]])
             yield from zip(gaps, ((i, j) for i in left))
 
     def divisions():

@@ -52,16 +52,15 @@ product with the right factor's operator: the gather of that factor
 through the certificate's left-division table, whose cells each
 hold a single weight, so each output adds a[x] * w(y) over x in the
 order the bincount does, with the bincount's bits. _convolve_raw takes it
-for one vector on groups of at least _GATHER_MIN elements (below, the
-bincount's smaller fixed cost wins), _products_raw for a stack on any
-group, with one gather for the whole stack. Elsewhere each product is
-one bincount. Powers for many exponents, and the squarings of the series
-scheme, share one set of squares mu^(2^j) and one memo of products keyed
-by low exponent bits (_powers_raw), formed level by level: the products
-that need the square of bit j go as one stack. Each exponent multiplies
-its squares in the same bit order, so it has the bits of its single call.
-Every 32nd square is renormalised against the drift of its mass, so
-exponents below 2^32 and rates up to 2^29 keep their bits.
+for one vector and _products_raw for a stack, with one gather for the
+whole stack. Elsewhere each product is one bincount. Powers for many
+exponents, and the squarings of the series scheme, share one set of
+squares mu^(2^j) and one memo of products keyed by low exponent bits
+(_powers_raw), formed level by level: the products that need the square
+of bit j, and the next square, go as one stack by it. Each exponent
+multiplies its squares in the same bit order, so it has the bits of its
+single call. Every 32nd square is renormalised against the drift of its
+mass, so exponents below 2^32 and rates up to 2^29 keep their bits.
 
 Vectors: the convolution kernel takes one vector (m,). _products_raw takes
 a stack (B, m) of left factors that all multiply one right factor, and
@@ -83,7 +82,6 @@ from .structures import FiniteStructure, SemigroupCertificate, certificate_of, s
 SUM_TOL = 1e-9  # accepted deviation of input weights from total mass 1
 _CLAMP = 1e-9  # most negative weight an internal result may carry before renormalizing
 _SERIES_MAX_RATE = 700  # above it exp(-r) underflows; conv_exp switches to squaring
-_GATHER_MIN = 16  # smallest group on which one vector's gather beats the bincount's fixed cost
 
 
 @dataclass(frozen=True)
@@ -200,17 +198,15 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b: one bincount of the outer product over the flattened table.
 
-    On a group of at least _GATHER_MIN elements it is the product of a with
-    b's right-multiplication operator, the gather of b through the cached
-    left-division table (_right_operator): each output adds a[x] * b[y] over
-    x in the order the bincount does, so the bits are the bincount's, at
-    about half its cost at m = 256. Below that size the bincount's smaller
-    fixed cost wins.
+    On a group it is the product of a with b's right-multiplication
+    operator, the gather of b through the cached left-division table
+    (_right_operator), the path _products_raw takes for a stack: each
+    output adds a[x] * b[y] over x in the order the bincount does, so the
+    bits are the bincount's, at about half its cost at m = 256.
     """
-    m = a.shape[0]
-    if cert.is_group and m >= _GATHER_MIN:
+    if cert.is_group:
         return np.einsum("x,xz->z", a, b[cert._ldiv])
-    return np.bincount(cert._flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)
+    return np.bincount(cert._flat, weights=np.multiply.outer(a, b).ravel(), minlength=a.shape[0])
 
 
 def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarray]:
@@ -219,29 +215,31 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
     Each exponent is the product of the squares a^(2^j) of its set bits,
     taken from the lowest up and memoised under the low bits multiplied so
     far, its prefixes: the unit under 0, a lone square under its bit, else
-    the shorter prefix's product times the next square. The products are
-    formed level by level, right after the square of their level: at bit j
-    every prefix whose top bit is j is one row of a single _products_raw
-    stack by a^(2^j), each row with the bits of its own kernel call.
-    Squares go up to the largest exponent's top bit, and every 32nd is
-    renormalised, as squaring squares the mass's rounding drift,
-    (1 + a few ulp)^(2^j), which overflows past j ~ 62; exponents < 2^32
-    keep their bits.
+    the shorter prefix's product times the next square. Each level j is one
+    _products_raw stack by a^(2^j): every prefix that an exponent extends by
+    bit j, then a^(2^j) itself while a higher square is needed, so each
+    square is the right factor of one stack, and each row keeps the bits of
+    its own kernel call. Squares go up to the largest exponent's top bit,
+    and every 32nd is renormalised, as squaring squares the mass's rounding
+    drift, (1 + a few ulp)^(2^j), which overflows past j ~ 62; exponents
+    < 2^32 keep their bits.
     """
     ns = list(map(operator.index, ns))
     products = {1: a}  # prefix bits -> product of their squares
     if 0 in ns:  # the unit, built on demand: descent steps call this
         products[0] = np.zeros(a.shape)
         products[0][cert.zero] = 1.0
-    square = a
-    for j in range(1, max(ns, default=0).bit_length()):
+    top = max(ns, default=0).bit_length()
+    for j in range(top):
         bit = 1 << j
-        sq = _convolve_raw(cert, square, square)
-        square = products[bit] = sq / sq.sum() if j % 32 == 0 else sq
         lows = sorted({n & (bit - 1) for n in ns if n & bit and n & (bit - 1)})
+        if j + 1 < top:
+            lows.append(bit)  # the next square, a^(2^j + 2^j)
         if lows:
-            stack = _products_raw(cert, np.array([products[low] for low in lows]), square)
-            products.update(zip([low | bit for low in lows], stack))
+            stack = _products_raw(cert, np.array([products[low] for low in lows]), products[bit])
+            products.update(zip([low + bit for low in lows], stack))
+            if (j + 1) % 32 == 0 and j + 1 < top:
+                products[bit << 1] = stack[-1] / stack[-1].sum()
     return [products[n] for n in ns]
 
 
@@ -259,9 +257,9 @@ def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
 
 def _products_raw(cert: SemigroupCertificate, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each row of the stack (B, m) times w, with the bits of _convolve_raw
-    on that row (the module's bits contract): on a group, of any size, one
-    product with w's operator, the gather of _convolve_raw's group path made
-    once for the whole stack; elsewhere one _convolve_raw call per row."""
+    on that row (the module's bits contract): on a group, one product with
+    w's operator, the gather of _convolve_raw's group path made once for
+    the whole stack; elsewhere one _convolve_raw call per row."""
     if cert.is_group:
         return np.einsum("ix,xz->iz", stack, _right_operator(cert, w))
     return np.array([_convolve_raw(cert, a, w) for a in stack])

@@ -446,8 +446,8 @@ def test_first_worst_pair_is_reported(path):
 def test_validation_matches_the_reference_scan_at_m256(kind, a, b, perm_seed):
     """At the benchmark's size, on Z256 (a group: the gather kernel) and the
     relabelled Z16 x J16 (per-row bincounts): exponential paths on the
-    16-step grid and on rational ticks start at the unit, whose start rows
-    skip the kernel; a path drawn from a pool of two measures does not."""
+    16-step grid and on rational ticks, which start at the unit, and a path
+    drawn from a pool of two measures, which does not."""
     s = catalog_monoid(kind, a, b, perm_seed)
     rng = np.random.default_rng(256)
     pool = [fc.measure(s, rng.dirichlet(np.ones(s.size))) for _ in range(2)]
