@@ -43,12 +43,12 @@ from .measures import (
     Measure,
     _check_pair,
     _check_rate,
-    _convolve_raw,
     _correlate_raw,
     _exps_raw,
     _from_raw,
     _normalised,
     _powers_raw,
+    _products_raw,
     conv_exp,
     conv_power,
     dirac,
@@ -230,7 +230,7 @@ def _power_objective(cert: SemigroupCertificate, target_w: np.ndarray, n: int):
     def objective(w):
         # w^n as w^(n-1) * w, so the gradient thunk reuses w^(n-1) and d
         prev = _powers_raw(cert, w, [n - 1])[0]
-        d = _convolve_raw(cert, prev, w) - target_w
+        d = _products_raw(cert, prev[None], w)[0] - target_w
         return (*_residuals(d), lambda: n * _correlate_raw(cert, prev, d))
 
     return objective

@@ -18,16 +18,17 @@ sharing changes the cost, not the numbers.
 Validation lists the tick pairs through the timeline, which matches exact
 ticks as integer numerators over their common denominator, and evaluates
 the increments of one right factor X(t) together, as one stack of left
-factors (measures._products_raw, with the bits of the convolution kernel,
-never through the transform that may have built the path). A
-timeline holds at most MAX_TICKS ticks, so that the T^2 / 4 pairs it
-lists stay within EVAL_BUDGET.
+factors (measures._products_raw, the convolution kernel, never the
+transform that may have built the path). A timeline holds at most
+MAX_TICKS ticks, so that the T^2 / 4 pairs it lists stay within
+EVAL_BUDGET.
 
 The worst-pair rule (_worst): a path report names the largest gap above
 0 and, among equal gaps, the smallest key, tick indices (i, j) or k. Gaps
-are scored a stack at a time (_gaps), with the bits of scoring each pair
-alone, and only the worst so far is kept, so memory grows with the ticks,
-not the pairs.
+are scored a stack at a time by the measures module's stack rules
+(_normalised, _tv_raw), with the bits of scoring each pair alone, and
+only the worst so far is kept, so memory grows with the ticks, not the
+pairs.
 
 A generator holds its jump measure's weights as that measure's read-only
 array, 8 bytes a weight, and is written as the list of those floats.
@@ -54,6 +55,7 @@ from .measures import (
     _normalised,
     _powers_raw,
     _products_raw,
+    _tv_raw,
     conv_exps,
     conv_powers,
     dirac,
@@ -223,7 +225,7 @@ def make_timeline(kind: str, params) -> Timeline:
         for v in values:
             if not 0.0 <= v <= 1.0:
                 raise TimelineError(f"tick {v} outside [0, 1]")
-        return Timeline(SAMPLES, tuple(sorted(set(values) | {0.0, 1.0})))
+        return Timeline(SAMPLES, tuple(sorted({0.0, 1.0} | set(values))))  # a given -0.0 is the tick 0.0
     raise TimelineError(f"unknown timeline kind {kind!r}")
 
 
@@ -312,18 +314,6 @@ def _worst(scored) -> tuple[float, object, int]:
     return worst, at, count
 
 
-def _gaps(products: np.ndarray, targets: np.ndarray) -> list[float]:
-    """_tv_raw(target, _normalised(product)) for each row pair of two (B, m)
-    stacks, to its bits: the products' exactly rounded totals from one
-    tolist, one division and one absolute difference for the whole stack.
-    A row with a negative entry goes through _normalised, which clamps it
-    or refuses it as the single pair would."""
-    normal = products / np.array([math.fsum(row) for row in products.tolist()])[:, None]
-    for b in np.flatnonzero(products.min(axis=1) < 0.0):
-        normal[b] = _normalised(products[b])
-    return [min(1.0, 0.5 * math.fsum(row)) for row in np.abs(targets - normal).tolist()]
-
-
 def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     """Check start, increment law, and marginal divisibility over the ticks.
 
@@ -331,9 +321,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     X(s) in one stack, and the powers per marginal from one chain of
     squares; each value is tv_distance(X(s + t), convolve(X(s), X(t))) or
     tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
-    module's contract states; worst pairs follow the module's worst-pair rule.
-    Gaps are scored a stack at a time (_gaps), with the bits of scoring each
-    pair on its own.
+    module's bits rule states; worst pairs follow the module's worst-pair rule.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
@@ -347,13 +335,14 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     def increments():
         for j, pairs in path.timeline.increments():
             left = [i for i, _ in pairs]
-            gaps = _gaps(_products_raw(cert, weights[left], weights[j]), weights[[k for _, k in pairs]])
+            products = _products_raw(cert, weights[left], weights[j])
+            gaps = _tv_raw(weights[[k for _, k in pairs]], _normalised(products))
             yield from zip(gaps, ((i, j) for i in left))
 
     def divisions():
         for i, pairs in path.timeline.divisions():
             powers = np.array(_powers_raw(cert, weights[i], [n for _, n in pairs]))
-            gaps = _gaps(powers, weights[[j for j, _ in pairs]])
+            gaps = _tv_raw(weights[[j for j, _ in pairs]], _normalised(powers))
             yield from zip(gaps, ((i, j, n) for j, n in pairs))
 
     worst_increment, inc, increments_checked = _worst(increments())

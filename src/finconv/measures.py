@@ -14,9 +14,26 @@ come from it.
 Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C in a
-fixed order, through np.bincount, or on a group through the gather of one
-factor by the left-division table, whose worst-case error m^2 * eps stays
-far inside every tolerance asserted at desk scale.
+fixed order, whose worst-case error m^2 * eps stays far inside every
+tolerance asserted at desk scale.
+
+One kernel, one bits rule: every product goes through _products_raw, a
+stack (B, m) of left factors times one right factor w (a single product
+is a one-row stack). On a group it is the stack's product with the gather
+of w through the left-division table, whose cells each hold one weight;
+elsewhere one np.bincount per row over the flattened table. Both add
+a[x] w(y) over x in the same order, so every row has the bits of the
+bincount on it alone. _normalised and _tv_raw likewise give each row of
+a stack the bits of the vector call. Powers for many exponents share one
+set of squares mu^(2^j) and one memo of products keyed by low exponent
+bits (_powers_raw), formed level by level: the products that need the
+square of bit j, and the next square, go as one stack by it. Each
+exponent multiplies its squares in the same bit order, so it has the bits
+of its single call. Every 32nd square is renormalised against the drift
+of its mass, so exponents below 2^32 and rates up to 2^29 keep their bits.
+validate_levy takes its products and powers from these kernels and never
+from the transform, so it judges a path built through the transform by
+an independent computation.
 
 Exponentials: on a Clifford monoid, a union of groups (groups, chains,
 their products and relabellings: every monoid the catalog builds), conv_exp
@@ -27,45 +44,21 @@ transform. Its error is rounding alone, at every rate; tol bounds the
 series' truncation. Other monoids, such as capped addition
 min(x + y, k), which is no union of groups, keep the Poisson series
 (_series_raw) up to rate 700 and the squaring scheme above it
-(_squaring_raw).
+(_squaring_raw). Every rate of conv_exps keeps the bits of its single
+conv_exp call: each rate reads only the forward transform, or sums its
+own Poisson weights with the compensated accumulator over the head of one
+stored chain of powers mu^(0*), mu^(1*), ..., as long as the largest rate
+needs.
 
-Bits contract: every rate of conv_exps keeps the bits of its single
-conv_exp call. On the transform the forward transform is the same array
-whatever the rates, and each rate reads only that array. The series for
-many rates stores one chain of powers mu^(0*), mu^(1*), ..., as long as
-the largest rate needs, and each rate sums its own Poisson weights over
-the head of the chain with the compensated accumulator that mixtures use.
-The chain multiplies by the jump measure's right-multiplication operator
-op[x, z] = sum of w(y) over x + y = z (_right_operator), so that a step is
-an (m,) by (m, m) product rather than an m^2 scatter; where one row sends
-several y to the same sum (chains, products with a chain) op adds those
-weights before multiplying, which moves a result by at most m * eps in
-total variation. The chain costs O(L * m) memory for the L = r + O(sqrt(r))
-terms of the largest rate r, plus m^2 for op: for tol 1e-9, 869 terms at
-r = 700 and 293 at r = 200.
-
-Validation stays on the kernel: validate_levy takes its products from
-_products_raw and its powers from _powers_raw, which keep the bits of
-_convolve_raw on every monoid, so a path built through the transform is
-judged by an independent computation. A group has one kernel, the
-product with the right factor's operator: the gather of that factor
-through the certificate's left-division table, whose cells each
-hold a single weight, so each output adds a[x] * w(y) over x in the
-order the bincount does, with the bincount's bits. _convolve_raw takes it
-for one vector and _products_raw for a stack, with one gather for the
-whole stack. Elsewhere each product is one bincount. Powers for many
-exponents, and the squarings of the series scheme, share one set of
-squares mu^(2^j) and one memo of products keyed by low exponent bits
-(_powers_raw), formed level by level: the products that need the square
-of bit j, and the next square, go as one stack by it. Each exponent
-multiplies its squares in the same bit order, so it has the bits of its
-single call. Every 32nd square is renormalised against the drift of its
-mass, so exponents below 2^32 and rates up to 2^29 keep their bits.
-
-Vectors: the convolution kernel takes one vector (m,). _products_raw takes
-a stack (B, m) of left factors that all multiply one right factor, and
-_powers_raw takes one vector and returns one vector per exponent, built
-on those stacks.
+The series' chain is the one exception to the bits rule: it multiplies by
+the jump measure's right-multiplication operator op[x, z] = sum of w(y)
+over x + y = z, built once per call, so that a step is an (m,) by (m, m)
+product rather than an m^2 scatter. Where one row sends several y to the
+same sum (chains, products with a chain) op adds those weights first,
+which moves a result by at most m * eps in total variation; on a group
+each cell holds one weight, with the kernel's bits. The chain costs
+O(L * m) memory for the L = r + O(sqrt(r)) terms of the largest rate r,
+plus m^2 for op: for tol 1e-9, 869 terms at r = 700 and 293 at r = 200.
 """
 
 from __future__ import annotations
@@ -132,14 +125,19 @@ def measure(structure: FiniteStructure, weights) -> Measure:
 
 
 def _normalised(w: np.ndarray) -> np.ndarray:
-    """A vector over its exactly rounded total, float fuzz below 0 clamped:
-    the weights _from_raw wraps."""
-    low = float(w.min())
-    if low < 0.0:
-        if low < -_CLAMP:
-            raise MeasureError(f"internal weight {low} below the clamp tolerance")
-        w = np.maximum(w, 0.0)
-    return w / math.fsum(w.tolist())
+    """A vector (m,), or each row of a stack (B, m), over its exactly
+    rounded total: the weights _from_raw wraps. A row with a weight below 0
+    has that float fuzz clamped to 0, and is refused below -_CLAMP; other
+    rows keep their bits."""
+    rows = np.atleast_2d(w)
+    low = rows.min(axis=1)
+    if (low < 0.0).any():
+        refused = low[low < -_CLAMP]
+        if refused.size:
+            raise MeasureError(f"internal weight {float(refused[0])} below the clamp tolerance")
+        rows = np.where((low < 0.0)[:, None], np.maximum(rows, 0.0), rows)
+    totals = np.array([math.fsum(row) for row in rows.tolist()])
+    return (rows / totals[:, None]).reshape(w.shape)
 
 
 def _from_raw(structure: FiniteStructure, w: np.ndarray) -> Measure:
@@ -195,20 +193,6 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
 
 # --- raw kernels (shared with the solver) --------------------------------
 
-def _convolve_raw(cert: SemigroupCertificate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b: one bincount of the outer product over the flattened table.
-
-    On a group it is the product of a with b's right-multiplication
-    operator, the gather of b through the cached left-division table
-    (_right_operator), the path _products_raw takes for a stack: each
-    output adds a[x] * b[y] over x in the order the bincount does, so the
-    bits are the bincount's, at about half its cost at m = 256.
-    """
-    if cert.is_group:
-        return np.einsum("x,xz->z", a, b[cert._ldiv])
-    return np.bincount(cert._flat, weights=np.multiply.outer(a, b).ravel(), minlength=a.shape[0])
-
-
 def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarray]:
     """a^(n*) for each n, by binary exponentiation over one set of squares.
 
@@ -243,26 +227,14 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
     return [products[n] for n in ns]
 
 
-def _right_operator(cert: SemigroupCertificate, w: np.ndarray) -> np.ndarray:
-    """The (m, m) matrix of right multiplication by w: op[x, z] is the sum of
-    w[y] over x + y = z, so a * w is einsum("x,xz->z", a, op). On a group
-    each sum has one term, and op is the gather of w through the cached
-    left-division table, the same array as the bincount's."""
-    if cert.is_group:
-        return w[cert._ldiv]
-    m = w.shape[0]
-    idx = np.arange(m)[:, None] * m + cert.add_table
-    return np.bincount(idx.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
-
-
 def _products_raw(cert: SemigroupCertificate, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each row of the stack (B, m) times w, with the bits of _convolve_raw
-    on that row (the module's bits contract): on a group, one product with
-    w's operator, the gather of _convolve_raw's group path made once for
-    the whole stack; elsewhere one _convolve_raw call per row."""
+    """Each row of the stack (B, m) times w: the module's one kernel. On a
+    group, one product of the stack with the gather of w through the
+    left-division table; elsewhere one bincount per row."""
     if cert.is_group:
-        return np.einsum("ix,xz->iz", stack, _right_operator(cert, w))
-    return np.array([_convolve_raw(cert, a, w) for a in stack])
+        return np.einsum("ix,xz->iz", stack, w[cert._ldiv])
+    m = w.shape[0]
+    return np.array([np.bincount(cert._flat, weights=np.multiply.outer(a, w).ravel(), minlength=m) for a in stack])
 
 
 def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -270,9 +242,10 @@ def _correlate_raw(cert: SemigroupCertificate, c: np.ndarray, g: np.ndarray) -> 
     return (c[:, None] * g[cert.add_table]).sum(axis=0)
 
 
-def _tv_raw(a: np.ndarray, b: np.ndarray) -> float:
-    """tv_distance on two weight vectors."""
-    return min(1.0, 0.5 * math.fsum(np.abs(a - b).tolist()))
+def _tv_raw(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """tv_distance for each row pair of two vectors (m,) or stacks (B, m):
+    half the exactly rounded L1 distance of the pair, at most 1."""
+    return [min(1.0, 0.5 * math.fsum(row)) for row in np.abs(np.atleast_2d(a - b)).tolist()]
 
 
 # --- public operations ----------------------------------------------------
@@ -280,7 +253,7 @@ def _tv_raw(a: np.ndarray, b: np.ndarray) -> float:
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Law of the sum of independent draws from mu and nu."""
     _check_pair(mu, nu)
-    out = _convolve_raw(certificate_of(mu.structure), mu.weights, nu.weights)
+    out = _products_raw(certificate_of(mu.structure), mu.weights[None], nu.weights)[0]
     return _from_raw(mu.structure, out)
 
 
@@ -330,8 +303,8 @@ def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
 
     The chain w^(0*), w^(1*), ... is built once, as long as the longest
     list of Poisson terms (_poisson_terms) needs, each power from the last
-    by one product with w's operator (_right_operator), built once per
-    call, whose bits the module's bits contract states. Each rate then sums
+    by one product with w's right-multiplication operator op, built once
+    per call: the exception to the module's bits rule. Each rate then sums
     its own terms over the head of the chain with _compensated_accumulate,
     the same loop a single rate runs, so it keeps the bits of its single
     call.
@@ -340,7 +313,8 @@ def _series_raw(cert: SemigroupCertificate, w, rates, tol) -> list[np.ndarray]:
     m = w.shape[0]
     chain = [np.zeros(m)]
     chain[0][cert.zero] = 1.0
-    op = _right_operator(cert, w)
+    cells = np.arange(m)[:, None] * m + cert.add_table  # op[x, z] sums w[y] over x + y = z
+    op = np.bincount(cells.ravel(), weights=np.tile(w, m), minlength=m * m).reshape(m, m)
     for _ in range(max(map(len, terms), default=1) - 1):
         chain.append(np.einsum("x,xz->z", chain[-1], op))
     return [_compensated_accumulate(chain, p, m) for p in terms]
@@ -430,7 +404,7 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
 def tv_distance(mu: Measure, nu: Measure) -> float:
     """Half the L1 distance; equals the largest discrepancy over event sets."""
     _check_pair(mu, nu)
-    return _tv_raw(mu.weights, nu.weights)
+    return _tv_raw(mu.weights, nu.weights)[0]
 
 
 def measure_of_event(mu: Measure, event: np.ndarray) -> float:

@@ -598,7 +598,7 @@ class SemigroupCertificate:
     counterexample in lexicographic scan order is recorded per failed axiom.
 
     add_table becomes a read-only view of the array it is given. The
-    convolution kernels alone read that array through `_flat`, a writeable
+    convolution kernel alone reads that array through `_flat`, a writeable
     flat view of the same memory, since np.bincount copies a read-only
     index on every call.
     """

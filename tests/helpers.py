@@ -141,6 +141,13 @@ def scalar_eval(s, f, env):
     return go(f, env)
 
 
+def bincount_convolve(cert, a, b):
+    """a * b by one bincount of the outer product over the certificate's
+    flattened table: the reference kernel whose bits every product keeps."""
+    m = a.shape[0]
+    return np.bincount(cert.add_table.ravel(), weights=np.multiply.outer(a, b).ravel(), minlength=m)
+
+
 def iterative_power(mu, n):
     """Repeated convolution, the order conv_power does not use."""
     out = fc.dirac(mu.structure, mu.structure.certificate.zero)

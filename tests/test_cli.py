@@ -293,6 +293,17 @@ def test_levy_exp_and_validate(files, tmp_path):
     assert strict.returncode == 1
 
 
+def test_a_negative_zero_tick_is_written_as_zero(files, tmp_path):
+    csv, manifest = tmp_path / "p.csv", tmp_path / "p.json"
+    proc = run_cli(
+        "levy-exp", str(files / "c2.json"), str(files / "d1.json"),
+        "--r", "1", "--samples=-0,0.5", "-o", str(csv), "--manifest", str(manifest),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert csv.read_text().splitlines()[3] == "0,1,0"
+    assert math.copysign(1.0, json.loads(manifest.read_text())["timeline"]["ticks"][0]) == 1.0
+
+
 def test_huge_rates_give_measures(tmp_path):
     c3, mu = str(GOLDEN / "c3.json"), str(GOLDEN / "c3_mu.json")
     proc = run_cli("exp", c3, mu, "--r", "1e306")

@@ -96,7 +96,7 @@ def test_power_objective_gradient_does_no_power_work(monkeypatch, j3, n):
 
         return wrapped
 
-    for name in ("_convolve_raw", "_powers_raw"):
+    for name in ("_products_raw", "_powers_raw"):
         monkeypatch.setattr(divisibility, name, counted(name, getattr(divisibility, name)))
     objective = divisibility._power_objective(certificate_of(j3), np.array([0.2, 0.3, 0.5]), n)
     _, _, grad = objective(np.array([0.5, 0.25, 0.25]))

@@ -291,6 +291,8 @@ def test_parse_path_csv_checks_the_structure_line(c2, j2):
 def test_timeline_ticks_given_as_text(c2):
     assert fc.make_timeline("rationals", ["1/2", " 1/3"]).ticks == (0, Fraction(1, 3), Fraction(1, 2), 1)
     assert fc.make_timeline("samples", ["0.5"]).ticks == (0.0, 0.5, 1.0)
+    start = fc.make_timeline("samples", ["-0", "0.5"]).ticks[0]
+    assert math.copysign(1.0, start) == 1.0  # a given -0 is the tick 0, written as "0"
     for n in (4, 4.0, np.int64(4)):
         path = fc.levy_from_root(fc.dirac(c2, 1), n)
         assert path.timeline == fc.make_timeline("uniform_grid", 4) and path.generator["N"] == 4

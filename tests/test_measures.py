@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import finconv as fc
 from finconv import catalog
 from finconv.errors import MeasureError, NotCertifiedError, StructureMismatchError
-from finconv.measures import SUM_TOL, _series_raw, _squaring_raw
+from finconv.measures import _CLAMP, SUM_TOL, _normalised, _series_raw, _squaring_raw, _tv_raw
 from finconv.structures import certificate_of
 from helpers import (
     certified,
@@ -107,6 +107,58 @@ def test_measure_clamps_fuzz_to_its_former_bits(c2):
         assert measure_outcome(c2, weights) == former_measure(weights)
     # a negative weight is reported even where a NaN sits beside it
     assert measure_outcome(c2, [math.nan, -1.0]) == "negative weight -1.0"
+
+
+# --- the stack rules --------------------------------------------------------------
+
+def former_normalised(w):
+    """_normalised as it was for one vector: clamp and refuse on its minimum."""
+    low = float(w.min())
+    if low < 0.0:
+        if low < -_CLAMP:
+            raise MeasureError(f"internal weight {low} below the clamp tolerance")
+        w = np.maximum(w, 0.0)
+    return w / math.fsum(w.tolist())
+
+
+@st.composite
+def stacks_and_targets(draw):
+    """A (B, m) stack of raw products, each row's total a little off 1 and
+    some rows carrying a negative weight within the clamp tolerance or
+    below it, or a -0.0; and a (B, m) stack of targets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    b, m = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    rows = rng.dirichlet(np.ones(m), size=b) * draw(st.sampled_from([1.0, 1 + 1e-12, 1 - 1e-12]))
+    for row in rows:
+        low = draw(st.sampled_from([None, None, -0.0, -1e-300, -1e-13, -_CLAMP, -2 * _CLAMP]))
+        if low is not None:
+            row[int(rng.integers(m))] = low
+    return rows, rng.dirichlet(np.ones(m), size=b)
+
+
+def outcome(normalise, w):
+    """The bytes a normaliser returns, or the message it refuses with."""
+    try:
+        return normalise(w).tobytes()
+    except MeasureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks_and_targets())
+def test_stack_rules_equal_their_row_by_row_calls(case):
+    products, targets = case
+    rows = [outcome(former_normalised, row) for row in products]
+    assert [outcome(_normalised, row) for row in products] == rows
+    refused = [row for row in rows if isinstance(row, str)]
+    if refused:  # a stack is refused for its first refused row
+        assert outcome(_normalised, products) == refused[0]
+        return
+    normal = _normalised(products)
+    assert normal.tobytes() == b"".join(rows)
+    gaps = [g.hex() for g in _tv_raw(targets, normal)]
+    assert gaps == [min(1.0, 0.5 * math.fsum(np.abs(t - n).tolist())).hex() for t, n in zip(targets, normal)]
+    assert gaps == [_tv_raw(t, n)[0].hex() for t, n in zip(targets, normal)]
 
 
 def test_mix_examples(c2):

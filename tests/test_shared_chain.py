@@ -3,16 +3,17 @@
 conv_exps and conv_powers serve many rates or exponents in one call, and
 the path constructors use them; every result must carry exactly the bits
 of the corresponding conv_exp or conv_power call. Likewise the products of
-a (B, m) stack by one right factor must give each row the bits of the
-single kernel call on it, and the descent gradient must keep the bits of
-its former private loop.
+a (B, m) stack by one right factor, and every power chain, must give each
+row the bits of the bincount reference kernel (helpers.bincount_convolve)
+on it, and the descent gradient must keep the bits of its former private
+loop.
 
 On the Clifford monoids of the catalog conv_exps goes through the
 semicharacter transform, which takes each rate on its own after one
 forward transform. The series, which other monoids keep, multiplies by the
 jump measure's right-multiplication operator rather than through the
-bincount kernel. On a group each operator cell holds one weight, so the
-bits are the bincount's; on other monoids the operator adds weights before
+kernel. On a group each operator cell holds one weight, so the bits are
+the bincount's; on other monoids the operator adds weights before
 multiplying, and the reordered additions move each product by at most
 m * eps in total variation.
 """
@@ -27,17 +28,9 @@ from hypothesis import strategies as st
 import finconv as fc
 from finconv.divisibility import _power_objective
 from finconv.errors import MeasureError
-from finconv.measures import (
-    _convolve_raw,
-    _normalised,
-    _poisson_terms,
-    _products_raw,
-    _right_operator,
-    _series_raw,
-    _squaring_raw,
-)
+from finconv.measures import _normalised, _poisson_terms, _products_raw, _series_raw, _squaring_raw
 from finconv.structures import certificate_of
-from helpers import catalog_monoid
+from helpers import bincount_convolve, catalog_monoid
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -68,22 +61,12 @@ RATES = st.one_of(
 EXPONENTS = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 80), st.sampled_from([1023, 1024, 4099]))
 
 
-def _raw(s):
-    """The certificate's table, flattened, with its size and neutral element."""
-    cert = certificate_of(s)
-    return cert.add_table.ravel(), s.size, cert.zero
-
-
-def _convolve(flat, m, a, b):
-    return np.bincount(flat, weights=np.multiply.outer(a, b).ravel(), minlength=m)
-
-
 def one_rate_series(mu, r, tol):
     """The series loop for a single rate, one power per term, normalised as
     conv_exp normalises it."""
-    flat, m, zero = _raw(mu.structure)
+    cert, m = certificate_of(mu.structure), mu.size
     acc, comp, power = np.zeros(m), np.zeros(m), np.zeros(m)
-    power[zero] = 1.0
+    power[cert.zero] = 1.0
     p, n = math.exp(-r), 0
     while True:
         term = p * power - comp
@@ -93,22 +76,14 @@ def one_rate_series(mu, r, tol):
         p_next = p * r / (n + 1)
         if n + 2 > r and p_next / (1.0 - r / (n + 2)) < tol / 2:
             break
-        power = _convolve(flat, m, power, mu.weights)
+        power = bincount_convolve(cert, power, mu.weights)
         p, n = p_next, n + 1
     return acc / math.fsum(acc.tolist())
 
 
 def one_exponent_power(mu, n):
     """Binary exponentiation for a single exponent, squares built as needed."""
-    flat, m, _ = _raw(mu.structure)
-    result, base = None, mu.weights
-    while True:
-        if n & 1:
-            result = base if result is None else _convolve(flat, m, result, base)
-        n >>= 1
-        if n == 0:
-            break
-        base = _convolve(flat, m, base, base)
+    result = raw_power(certificate_of(mu.structure), mu.weights, n)
     return result / math.fsum(result.tolist())
 
 
@@ -136,27 +111,6 @@ def test_series_keeps_one_rate_series_bits(mu, r, tol):
 
 
 @SETTINGS
-@given(
-    st.sampled_from(["group", "chain", "product"]),
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.integers(-1, 3),
-    st.integers(0, 2**16),
-)
-def test_right_operator_product_matches_convolution(kind, a, b, perm_seed, seed):
-    s = catalog_monoid(kind, a, b, perm_seed)
-    cert = certificate_of(s)
-    rng = np.random.default_rng(seed)
-    x, w = rng.dirichlet(np.ones(s.size), size=2)
-    got = np.einsum("x,xz->z", x, _right_operator(cert, w))
-    want = _convolve_raw(cert, x, w)
-    if kind == "group":
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert 0.5 * np.abs(got - want).sum() <= s.size * EPS
-
-
-@SETTINGS
 @given(measures(), st.integers(2, 300))
 def test_conv_power_keeps_one_exponent_bits(mu, n):
     assert fc.conv_power(mu, n).weights.tobytes() == one_exponent_power(mu, n).tobytes()
@@ -168,9 +122,9 @@ def test_conv_powers_keep_the_bincount_chain_bits_at_m256():
     bincount alone."""
     s = catalog_monoid("cyclic", 256, 0, -1)
     mu = fc.measure(s, np.random.default_rng(65).dirichlet(np.ones(256)))
-    flat, m, zero = _raw(s)
+    cert = certificate_of(s)
     for n, got in zip(range(65), fc.conv_powers(mu, range(65))):
-        want = mu.weights if n == 1 else _normalised(raw_power(flat, m, zero, mu.weights, n))
+        want = mu.weights if n == 1 else _normalised(raw_power(cert, mu.weights, n))
         assert got.weights.tobytes() == want.tobytes(), n
 
 
@@ -211,32 +165,38 @@ def test_exponential_path_every_marginal_bit_identical(nu, r, n_steps):
 
 
 def test_power_layer_work_is_pinned(monkeypatch):
-    """_convolve_raw calls and operator builds on Z16, a group, where each
-    level of a power chain is one operator build, the stack by that level's
-    square of its products and of the next square: the powers 0..64 of a
-    root path take 6 builds, one per square below 2^6; validating that path
-    takes 141 builds, one for each of its 65 right factors and one for each
+    """_products_raw calls and the rows of their stacks on Z16, a group,
+    where each level of a power chain is one stack by that level's square,
+    of its products and of the next square: the powers 0..64 of a root path
+    take 6 stacks, one per square below 2^6, of 63 rows; validating that
+    path takes 141, one for each of its 65 right factors and one for each
     of the 76 levels of its 32 power chains; conv_power(., 1023) takes 10,
     conv_powers(., [3, 5, 7, 1024, 4099]) 13, and the squaring scheme at
-    r = 900 takes 12 squares after its series' one operator; conv_exp runs
-    no kernel on Z16, through the semicharacter transform."""
+    r = 900 takes 12 squares; conv_exp runs no kernel on Z16, through the
+    semicharacter transform."""
     nu = fc.measure(catalog_monoid("cyclic", 16, 0, -1), np.random.default_rng(1).dirichlet(np.ones(16)))
-    calls, builds = [], []
-    monkeypatch.setattr("finconv.measures._convolve_raw", lambda *args: calls.append(1) or _convolve_raw(*args))
-    monkeypatch.setattr("finconv.measures._right_operator", lambda *args: builds.append(1) or _right_operator(*args))
+    calls, rows = [], []
+
+    def counted(cert, stack, w):
+        calls.append(1)
+        rows.append(len(stack))
+        return _products_raw(cert, stack, w)
+
+    for module in ("measures", "levy"):
+        monkeypatch.setattr(f"finconv.{module}._products_raw", counted)
 
     def count(run):
         calls.clear()
-        builds.clear()
+        rows.clear()
         run()
-        return len(calls), len(builds)
+        return len(calls), sum(rows)
 
     path = fc.levy_from_root(nu, 64)
-    assert count(lambda: fc.levy_from_root(nu, 64)) == (0, 6)
-    assert count(lambda: fc.validate_levy(path, 1e-9)) == (0, 65 + 76)
-    assert count(lambda: fc.conv_power(nu, 1023)) == (0, 10)
-    assert count(lambda: fc.conv_powers(nu, [3, 5, 7, 1024, 4099])) == (0, 13)
-    assert count(lambda: _squaring_raw(certificate_of(nu.structure), nu.weights, 900.0, 1e-9)) == (0, 1 + 12)
+    assert count(lambda: fc.levy_from_root(nu, 64)) == (6, 63)
+    assert count(lambda: fc.validate_levy(path, 1e-9)) == (65 + 76, 1305)
+    assert count(lambda: fc.conv_power(nu, 1023)) == (10, 18)
+    assert count(lambda: fc.conv_powers(nu, [3, 5, 7, 1024, 4099])) == (13, 16)
+    assert count(lambda: _squaring_raw(certificate_of(nu.structure), nu.weights, 900.0, 1e-9)) == (12, 12)
     assert count(lambda: fc.conv_exp(nu, 900.0, 1e-9)) == (0, 0)
 
 
@@ -271,10 +231,10 @@ def right_factor_stacks(draw):
 @SETTINGS
 @given(right_factor_stacks())
 def test_products_by_one_factor_keep_the_kernel_bits(case):
-    """On a group the operator product; elsewhere one kernel call per row."""
+    """On a group the operator product; elsewhere one bincount per row."""
     s, rows, w = case
     cert = certificate_of(s)
-    expected = np.array([_convolve_raw(cert, a, w) for a in rows])
+    expected = np.array([bincount_convolve(cert, a, w) for a in rows])
     assert _products_raw(cert, rows, w).tobytes() == expected.tobytes()
 
 
@@ -284,7 +244,7 @@ def test_products_by_one_factor_keep_the_kernel_bits_at_m256(kind, a, b, perm_se
     cert = certificate_of(catalog_monoid(kind, a, b, perm_seed))
     rng = np.random.default_rng(rows)
     stack, w = rng.dirichlet(np.ones(256), size=rows), rng.dirichlet(np.ones(256))
-    expected = np.array([_convolve_raw(cert, a, w) for a in stack])
+    expected = np.array([bincount_convolve(cert, a, w) for a in stack])
     assert _products_raw(cert, stack, w).tobytes() == expected.tobytes()
 
 
@@ -317,20 +277,21 @@ def stacks(draw, max_size=18):
     return s, rows
 
 
-def raw_power(flat, m, zero, w, n):
-    """Binary exponentiation of one raw vector, n = 0 giving the unit."""
+def raw_power(cert, w, n):
+    """Binary exponentiation of one raw vector by the reference kernel,
+    squares built as needed, n = 0 giving the unit."""
     if n == 0:
-        unit = np.zeros(m)
-        unit[zero] = 1.0
+        unit = np.zeros(w.shape[0])
+        unit[cert.zero] = 1.0
         return unit
     result, base = None, w
     while True:
         if n & 1:
-            result = base if result is None else _convolve(flat, m, result, base)
+            result = base if result is None else bincount_convolve(cert, result, base)
         n >>= 1
         if n == 0:
             return result
-        base = _convolve(flat, m, base, base)
+        base = bincount_convolve(cert, base, base)
 
 
 @SETTINGS
@@ -338,11 +299,10 @@ def raw_power(flat, m, zero, w, n):
 def test_power_gradient_keeps_former_formula_bits(stack, n):
     s, rows = stack
     cert = certificate_of(s)
-    flat, m, zero = _raw(s)
 
     def former(w, target):
-        prev = raw_power(flat, m, zero, w, n - 1)
-        full = _convolve(flat, m, prev, w)
+        prev = raw_power(cert, w, n - 1)
+        full = bincount_convolve(cert, prev, w)
         return n * (prev[:, None] * (full - target)[cert.add_table]).sum(axis=0)
 
     w, target = rows[0], rows[-1]
