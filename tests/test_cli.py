@@ -387,6 +387,14 @@ MALFORMED_MODELS = {
         '{"universe": 1, "functions": {"f": {"arity": -1, "table": ' + "[" * 950 + "0" + "]" * 950 + "}}}"
     ),
     "function-arity-zero": {"universe": 1, "functions": {"f": {"arity": 0, "table": [0]}}},
+    "constant-outside-universe": _c2_with(constants={"zero": 5}),
+    "semigroup-function-undeclared": _c2_with(semigroup={"function": "mul"}),
+    "semigroup-function-unary": _c2_with(
+        functions={**C2_MODEL["functions"], "neg": {"arity": 1, "table": [0, 1]}}, semigroup={"function": "neg"},
+    ),
+    "relation-arity-zero": {"universe": 2, "relations": {"r": {"arity": 0, "tuples": []}}},
+    "duplicate-universe-names": _c2_with(universe=["a", "a"]),
+    "function-without-table": _c2_with(functions={"add": {"arity": 2}}),
 }
 
 
@@ -563,6 +571,12 @@ MISUSED_COMMANDS = {
     "path-from-other-model": lambda f, t: ["levy-validate", f / "j2.json", _c2_path(f, t)],
     "unknown-flag": lambda f, t: ["verify", f / "c2.json", "--no-such-flag"],
     "missing-argument": lambda f, t: ["exp", f / "c2.json", f / "mu.json"],
+    # the path is not built, so nothing reaches standard output
+    "manifest-without-output": lambda f, t: ["levy-root", f / "c2.json", f / "mu.json", "--N", "2", "--manifest", t / "p.json"],
+    "uncertified-model": lambda f, t: ["power", f / "broken.json", f / "mu.json", "--n", "2"],
+    "K-list-without-values": lambda f, t: ["bernoulli", f / "c2.json", f / "mu.json", "--r", "1", "--K-list", ","],
+    "K-list-not-integers": lambda f, t: ["bernoulli", f / "c2.json", f / "mu.json", "--r", "1", "--K-list", "a,b"],
+    "zero-threads": lambda f, t: ["verify", f / "c2.json", "--threads", "0"],
 }
 
 
@@ -573,6 +587,12 @@ def test_misused_command_is_input_error(files, tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+def test_uncertified_model_names_the_failing_axioms(files):
+    proc = run_cli("power", str(files / "broken.json"), str(files / "mu.json"), "--n", "2")
+    assert proc.stderr == "error: model fails semigroup axioms: commutativity, neutral_element\n"
 
 
 def test_levy_exp_reports_the_rate_it_was_given(files):

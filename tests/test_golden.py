@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from finconv import cli
+from test_cli import SUBCOMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,6 +64,13 @@ CASES = {
     "levy_validate_z8_csv": ["levy-validate", "z8.json", "z8_path.csv"],
     "levy_validate_j3": ["levy-validate", "j3.json", "j3_rational.json"],
     "levy_validate_j3_csv": ["levy-validate", "j3.json", "j3_path.csv"],
+    "eval_c3": ["eval", "c3.json", "c3_mu.json", "--formula", "add(x,x)=zero"],
+    "convolve_c3": ["convolve", "c3.json", "c3_mu.json", "c3_fit.json"],
+    "lambda_c2": ["lambda", "c2.json", "c2_mu.json", "--r", "1", "--K", "16"],
+    "extract_jump_c3": ["extract-jump", "c3.json", "c3_mu.json", "--r", "1", "--K", "1"],
+    # two of the three conditions fail at K = 4
+    "concentration_c3": ["concentration", "c3.json", "c3_mu.json", "c3_mu.json", "--r", "1", "--K", "4"],
+    "compare_paths_c3": ["compare-paths", "c3.json", "c3_mu.json", "c3_fit.json", "--N", "8"],
 }
 
 
@@ -80,6 +88,10 @@ def test_cli_output_is_unchanged(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert stdout == (GOLDEN / f"{name}.stdout").read_text()
+
+
+def test_every_verb_has_a_golden_case():
+    assert sorted({argv[0] for argv in CASES.values()}) == sorted(SUBCOMMANDS)
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
