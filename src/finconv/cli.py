@@ -99,7 +99,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_verify(args, s) -> int:
     cert = verify_semigroup(s)
-    _write(fileio.canonical_json(fileio.certificate_to_dict(cert)), args)
+    _write(fileio.canonical_json(fileio.report_to_dict(cert)), args)
     return 0 if cert.passed else 1
 
 
@@ -158,7 +158,7 @@ def cmd_extract_jump(args, s, lam) -> int:
 
 def cmd_concentration(args, s, mu, lam) -> int:
     report = check_concentration(mu, lam, args.r, args.K, args.eps)
-    _write(fileio.canonical_json(fileio.concentration_report_to_dict(report)), args)
+    _write(fileio.canonical_json(fileio.report_to_dict(report)), args)
     return 0 if report.passed else 1
 
 
@@ -214,7 +214,7 @@ def cmd_levy_exp(args, s, nu) -> int:
 def cmd_levy_validate(args, s) -> int:
     path = fileio.load_path(args.path, s)
     report = validate_levy(path, args.tol)
-    _write(fileio.canonical_json(fileio.validation_report_to_dict(report)), args)
+    _write(fileio.canonical_json(fileio.report_to_dict(report)), args)
     return 0 if report.passed else 1
 
 

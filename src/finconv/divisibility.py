@@ -129,7 +129,10 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class ConcentrationReport:
     conditions: tuple[ConditionCheck, ConditionCheck, ConditionCheck]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.holds for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -420,10 +423,7 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
     required = 1.0 / (1.0 + q)
     mass = float(lam.weights[zero])
     mass_ok = ConditionCheck("mass_at_zero", mass, required, mass >= required - 1e-12)
-    return ConcentrationReport(
-        conditions=(scalar, events, mass_ok),
-        passed=scalar.holds and events.holds and mass_ok.holds,
-    )
+    return ConcentrationReport((scalar, events, mass_ok))
 
 
 # --- exponential fitting -----------------------------------------------------

@@ -48,10 +48,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, MeasureError, StructureMismatchError, TimelineError
 from .measures import (
-    SUM_TOL,
     Measure,
     _check_pair,
     _check_rate,
+    _check_unit_sum,
     _normalised,
     _powers_raw,
     _products_raw,
@@ -485,9 +485,7 @@ def parse_path_csv(text: str, structure) -> LevyPath:
             raise TimelineError(f"row at tick {cells[0]} has a weight that is not a number") from exc
         if not (np.isfinite(w).all() and (w >= 0).all()):
             raise TimelineError(f"row at tick {cells[0]} has a negative or non-finite weight")
-        total = math.fsum(w.tolist())
-        if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
-            raise TimelineError(f"row at tick {cells[0]} sums to {total}, not 1 within {SUM_TOL}")
+        _check_unit_sum(w.tolist(), TimelineError, f"row at tick {cells[0]} sums")
         ticks.append(t)
         # exported weights are already normalized; keep their exact bits
         rows.append(Measure(w, structure))

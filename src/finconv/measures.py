@@ -107,20 +107,29 @@ def _check_rate(r) -> None:
         raise MeasureError(f"rate must be finite and non-negative, got {r}")
 
 
+def _check_unit_sum(values: list[float], error: type[Exception], what: str) -> None:
+    """The one rule for a total of input weights: 1 within SUM_TOL. No caller
+    passes a weight below -SUM_TOL, so a sum that overflows is past it."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
+        raise error(f"{what} to {total}, not 1 within {SUM_TOL}")
+
+
 def measure(structure: FiniteStructure, weights) -> Measure:
     """Validate a weight vector and renormalize it onto the simplex."""
     try:
         w = np.array(weights, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MeasureError(f"weights must be numbers: {exc}") from exc
     if w.shape != (structure.size,):
         raise MeasureError(f"expected {structure.size} weights, got shape {w.shape}")
     negative = w[w < -SUM_TOL]
     if negative.size:
         raise MeasureError(f"negative weight {float(negative.min())}")
-    total = math.fsum(w.tolist())
-    if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
-        raise MeasureError(f"weights sum to {total}, not 1 within {SUM_TOL}")
+    _check_unit_sum(w.tolist(), MeasureError, "weights sum")
     return _from_raw(structure, w)
 
 
@@ -184,9 +193,7 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
     cs = [float(c) for c in coeffs]
     if any(c < 0 for c in cs):
         raise MeasureError("negative mixture coefficient")
-    total = math.fsum(cs)
-    if not (1 - SUM_TOL <= total <= 1 + SUM_TOL):
-        raise MeasureError(f"mixture coefficients sum to {total}, not 1 within {SUM_TOL}")
+    _check_unit_sum(cs, MeasureError, "mixture coefficients sum")
     w = _compensated_accumulate((m.weights for m in measures), cs, first.size)
     return _from_raw(first.structure, w)
 

@@ -485,10 +485,9 @@ def _region_setup(s: FiniteStructure, f: fm.Formula, grid_vars, env) -> dict:
 def _block_size(cost, n: int, limit: int) -> int:
     """The largest block k in 1..n that the chord of cost between 1 and n
     keeps within limit, and 1 if none. Every array of a block is affine in
-    k, so their largest, cost(k), is convex and lies under that chord."""
+    k, so their largest, cost(k), is convex and lies under that chord.
+    cost(n) counts the whole grid, twice limit, so it is never within it."""
     lo, hi = cost(1), cost(n)
-    if hi <= limit:
-        return n
     if lo >= limit:
         return 1
     return 1 + (limit - lo) * (n - 1) // (hi - lo)

@@ -517,6 +517,8 @@ MALFORMED_MEASURES = {
     "boolean-weights": {"weights": [True, False]},
     "quoted-weights": {"weights": ["0.5", "0.5"]},
     "huge-point": {"point": 1e300},
+    "overflowing-sum": {"weights": [1e308, 1e308]},
+    "huge-integer-weight": {"weights": [10**400, 0]},
 }
 
 

@@ -262,15 +262,16 @@ def _export_rows(path):
         lambda rows: rows[:3] + rows[2:],  # a repeated tick
         lambda rows: rows + ["1.5,0.5,0.5"],  # tick outside [0, 1]
         lambda rows: ["nan,0.5,0.5"] + rows[1:],  # non-finite tick
-        lambda rows: rows[:2] + ["0.25,nan,0.5"] + rows[3:],  # non-finite weight
-        lambda rows: rows[:2] + ["0.25,0.75,0.75"] + rows[3:],  # off the simplex
-        lambda rows: rows[:2] + ["0.25,1.25,-0.25"] + rows[3:],  # negative weight
-        lambda rows: rows[:2] + ["0.25,abc,0.5"] + rows[3:],  # not a number
+        lambda rows: rows[:2] + ["0.5,nan,0.5"] + rows[3:],  # non-finite weight
+        lambda rows: rows[:2] + ["0.5,0.75,0.75"] + rows[3:],  # off the simplex
+        lambda rows: rows[:2] + ["0.5,1.25,-0.25"] + rows[3:],  # negative weight
+        lambda rows: rows[:2] + ["0.5,1e308,1e308"] + rows[3:],  # a sum past the float range
+        lambda rows: rows[:2] + ["0.5,abc,0.5"] + rows[3:],  # not a number
         lambda rows: rows[1:],  # no tick 0
         lambda rows: rows[:-1],  # no tick 1
     ],
-    ids=["unsorted", "repeated", "outside", "nan-tick", "nan-weight", "off-simplex", "negative", "text",
-         "no-start", "no-end"],
+    ids=["unsorted", "repeated", "outside", "nan-tick", "nan-weight", "off-simplex", "negative", "overflowing-sum",
+         "text", "no-start", "no-end"],
 )
 def test_parse_path_csv_rejects_malformed_rows(c2, mangle):
     head, rows = _export_rows(fc.levy_from_root(fc.measure(c2, [0.9, 0.1]), 4))

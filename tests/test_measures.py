@@ -26,7 +26,7 @@ from helpers import (
 # --- constructors -------------------------------------------------------------
 
 def test_measure_rejects_non_numeric_weights(c2):
-    for bad in ("abc", [{"a": 1}, 0.5], ["x", "y"]):
+    for bad in ("abc", [{"a": 1}, 0.5], ["x", "y"], [10**400, 0]):
         with pytest.raises(MeasureError, match="weights must be numbers"):
             fc.measure(c2, bad)
 
@@ -53,6 +53,8 @@ def test_measure_validation(c2):
         fc.measure(c2, [0.7, -0.3])
     with pytest.raises(MeasureError):
         fc.measure(c2, [0.7, 0.2])
+    with pytest.raises(MeasureError, match="weights sum to inf"):
+        fc.measure(c2, [1e308, 1e308])
     mu = fc.measure(c2, [0.5 + 2e-10, 0.5])
     assert math.fsum(mu.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
 
@@ -177,6 +179,8 @@ def test_mix_errors(c2, j2):
         fc.mix([0.5, 0.5], [d0, fc.dirac(j2, 0)])
     with pytest.raises(MeasureError):
         fc.mix([1.5, -0.5], [d0, d0])
+    with pytest.raises(MeasureError, match="mixture coefficients sum to inf"):
+        fc.mix([1e308, 1e308], [d0, d0])
 
 
 # --- convolution ----------------------------------------------------------------
