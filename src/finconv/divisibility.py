@@ -33,6 +33,7 @@ only the thunk of a point it accepted, which reuses that evaluation's work
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ from .errors import ConcentrationError, MeasureError, FinconvError
 from .measures import (
     _SERIES_MAX_RATE,
     Measure,
+    _check_number,
     _check_pair,
-    _check_rate,
     _correlate_raw,
     _exps_raw,
     _from_raw,
@@ -91,8 +92,7 @@ class SolverConfig:
             raise MeasureError("restarts must be at least 1")
         if self.max_iters < 1:
             raise MeasureError("max_iters must be at least 1")
-        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
-            raise MeasureError(f"tol_residual must be finite and positive, got {self.tol_residual}")
+        object.__setattr__(self, "tol_residual", _check_number(self.tol_residual, "tol_residual", positive=True))
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,14 @@ class DivisibilityReport:
     target: Measure
     n_max: int
     certificates: dict[int, RootCertificate]
-    divisible: bool
-    first_failing: int | None
+
+    @property
+    def first_failing(self) -> int | None:
+        return next((n for n, c in sorted(self.certificates.items()) if c.verdict != VERDICT_EXACT), None)
+
+    @property
+    def divisible(self) -> bool:
+        return self.first_failing is None
 
 
 @dataclass(frozen=True)
@@ -343,24 +349,16 @@ def is_infinitely_divisible(target: Measure, n_max: int, cfg: SolverConfig | Non
     cfg = cfg or SolverConfig()
     if n_max < 2:
         raise MeasureError("n_max must be at least 2")
-    certificates = {n: nth_root(target, n, cfg) for n in range(2, n_max + 1)}
-    failing = [n for n in sorted(certificates) if certificates[n].verdict != VERDICT_EXACT]
-    return DivisibilityReport(
-        target=target,
-        n_max=n_max,
-        certificates=certificates,
-        divisible=not failing,
-        first_failing=failing[0] if failing else None,
-    )
+    return DivisibilityReport(target, n_max, {n: nth_root(target, n, cfg) for n in range(2, n_max + 1)})
 
 
 # --- compound-Bernoulli approximation of the exponential --------------------
 
 def _rate_per_factor(r: float, K: int) -> float:
-    """q = r/K, the rate each of K factors carries, for K >= 1 and a rate r."""
-    if K < 1:
+    """q = r/K, the rate each of K factors carries, for an integer K >= 1 and a rate r."""
+    if not isinstance(K, (int, np.integer)) or K < 1:
         raise MeasureError("K must be a positive integer")
-    _check_rate(r)
+    r = _check_number(r, "rate")
     try:
         return r / K
     except OverflowError as exc:  # an int past the float range
@@ -389,8 +387,7 @@ def extract_jump(lam: Measure, r: float, K: int) -> Measure:
     zero is recovered as the complement, which avoids a subtraction that
     would amplify rounding by K/r.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise MeasureError(f"rate must be finite and positive, got {r}")
+    r = _check_number(r, "rate", positive=True)
     q = _rate_per_factor(r, K)
     scale = 1.0 + K / r
     if scale == math.inf:  # inf * 0 would turn the weights at 0 into nan
@@ -410,13 +407,12 @@ def check_concentration(mu: Measure, lam: Measure, r: float, K: int, eps: float)
     """Check the three concentration conditions; failures are reported, not
     raised. A ratio exp(r) / (1 + r/K)^K past the float range is refused."""
     q = _rate_per_factor(r, K)
-    if not (math.isfinite(eps) and eps >= 0):
-        raise MeasureError(f"eps must be finite and non-negative, got {eps}")
+    r, eps = float(r), _check_number(eps, "eps")
     try:
         ratio = math.exp(r - K * math.log1p(q))
     except OverflowError as exc:
         raise MeasureError(f"the ratio exp(r) / (1 + r/K)^K overflows a float at r = {r}, K = {K}") from exc
-    scalar = ConditionCheck("exp_ratio_near_one", abs(ratio - 1.0), float(eps), abs(ratio - 1.0) <= eps)
+    scalar = ConditionCheck("exp_ratio_near_one", abs(ratio - 1.0), eps, abs(ratio - 1.0) <= eps)
     event_err = tv_distance(mu, conv_power(lam, K))
     events = ConditionCheck("event_error_within_inverse_K", event_err, 1.0 / K, event_err <= 1.0 / K)
     zero = certificate_of(lam.structure).zero
@@ -455,8 +451,8 @@ def fit_levy_khintchine(
     identifiable even for exact fits, so only the residual is canonical.
     """
     cfg = cfg or SolverConfig()
-    if not (math.isfinite(r_max) and 0 < r_max <= _SERIES_MAX_RATE):
-        raise MeasureError(f"r_max must be finite and in (0, {_SERIES_MAX_RATE}], got {r_max}")
+    if not 0 < r_max <= _SERIES_MAX_RATE:  # nan, inf and an int past the float range fail it
+        raise MeasureError(f"r_max must be finite and in (0, {_SERIES_MAX_RATE}], got {reprlib.repr(r_max)}")
     s = target.structure
     cert = certificate_of(s)
     m = target.size

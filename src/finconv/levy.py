@@ -46,11 +46,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, MeasureError, StructureMismatchError, TimelineError
+from .errors import BudgetExceededError, StructureMismatchError, TimelineError
 from .measures import (
     Measure,
+    _check_number,
     _check_pair,
-    _check_rate,
     _check_unit_sum,
     _normalised,
     _powers_raw,
@@ -292,11 +292,11 @@ def levy_from_exponential(nu: Measure, r: float, timeline: Timeline, tol: float)
 
     Each marginal is bit-identical to conv_exp(nu, t*r, tol).
     """
-    _check_rate(float(r))
-    marginals = conv_exps(nu, [float(t) * float(r) for t in timeline.ticks], tol)
+    r = _check_number(r, "rate")
+    marginals = conv_exps(nu, [float(t) * r for t in timeline.ticks], tol)
     generator = {
         "kind": "exponential",
-        "r": float(r),
+        "r": r,
         "tol": float(tol),
         "weights": nu.weights,
         "structure": nu.structure.fingerprint,
@@ -323,8 +323,7 @@ def validate_levy(path: LevyPath, tol: float) -> LevyValidationReport:
     tv_distance(conv_power(X(s), n), X(n s)), to the bits the measures
     module's bits rule states; worst pairs follow the module's worst-pair rule.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise MeasureError(f"tolerance must be finite and non-negative, got {tol}")
+    tol = _check_number(tol, "tolerance")
     for mu in path.marginals:
         _check_pair(path.marginals[0], mu)
     ticks = path.timeline.ticks

@@ -11,6 +11,9 @@ structures.certificate_of, and the private kernels below take that frozen
 certificate: the addition table, its size and the neutral element all
 come from it.
 
+One rule reads every rate, tolerance, eps and mixture coefficient a caller
+passes, here and in divisibility and levy: _check_number.
+
 Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
 compensated addition; the bilinear convolution kernel accumulates in C in a
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +105,15 @@ def _check_pair(mu: Measure, nu: Measure) -> None:
         raise StructureMismatchError("measures live on different structures")
 
 
-def _check_rate(r) -> None:
-    """The one rule for a rate: finite and non-negative."""
-    if not (math.isfinite(r) and r >= 0):
-        raise MeasureError(f"rate must be finite and non-negative, got {r}")
+def _check_number(value, what: str, positive: bool = False) -> float:
+    """float(value), which must be finite and at least 0 (above 0 where positive)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x, value = math.nan, reprlib.repr(value)
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        raise MeasureError(f"{what} must be finite and {'positive' if positive else 'non-negative'}, got {value}")
+    return x
 
 
 def _check_unit_sum(values: list[float], error: type[Exception], what: str) -> None:
@@ -190,9 +199,7 @@ def mix(coeffs, measures: list[Measure]) -> Measure:
     first = measures[0]
     for m in measures[1:]:
         _check_pair(first, m)
-    cs = [float(c) for c in coeffs]
-    if any(c < 0 for c in cs):
-        raise MeasureError("negative mixture coefficient")
+    cs = [_check_number(c, "mixture coefficient") for c in coeffs]
     _check_unit_sum(cs, MeasureError, "mixture coefficients sum")
     w = _compensated_accumulate((m.weights for m in measures), cs, first.size)
     return _from_raw(first.structure, w)
@@ -399,11 +406,8 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
     On a Clifford monoid the rates share one forward transform of mu;
     elsewhere the rates up to 700 share one chain of powers (_exps_raw).
     """
-    rates = [float(r) for r in rates]
-    for r in rates:
-        _check_rate(r)
-    if not (math.isfinite(tol) and tol > 0):
-        raise MeasureError(f"tolerance must be finite and positive, got {tol}")
+    rates = [_check_number(r, "rate") for r in rates]
+    tol = _check_number(tol, "tolerance", positive=True)
     raws = _exps_raw(certificate_of(mu.structure), mu.weights, rates, tol)
     return [_from_raw(mu.structure, raw) for raw in raws]
 

@@ -689,6 +689,25 @@ def test_out_of_range_numbers_are_input_errors(files, tmp_path):
     _assert_input_error(run_cli("lambda", c2, mu, "--r", "1", "--K", "1" + "0" * 400))
 
 
+# one command per message of a number's rule, on the golden C3 files
+RULE_MESSAGES = [
+    (["exp", "c3_mu.json", "--r", "1", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
+    (["levy-validate", "c3_path.csv", "--tol", "-1"], "tolerance must be finite and non-negative, got -1.0"),
+    (["concentration", "c3_mu.json", "c3_mu.json", "--r", "1", "--K", "4", "--eps", "nan"],
+     "eps must be finite and non-negative, got nan"),
+    (["root", "c3_mu.json", "--n", "2", "--tol", "inf"], "tol_residual must be finite and positive, got inf"),
+    (["extract-jump", "c3_mu.json", "--r", "0", "--K", "4"], "rate must be finite and positive, got 0.0"),
+    (["fit-lk", "c3_mu.json", "--r-max", "800"], "r_max must be finite and in (0, 700], got 800.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", RULE_MESSAGES, ids=[args[0] for args, _ in RULE_MESSAGES])
+def test_number_rule_messages_are_pinned(args, message):
+    files = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a for a in args[1:]]
+    proc = run_cli(args[0], str(GOLDEN / "c3.json"), *files)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
 def test_levy_validate_rejects_malformed_csv(files, tmp_path):
     csv = tmp_path / "path.csv"
     run_cli("levy-root", str(files / "c2.json"), str(files / "mu.json"), "--N", "8", "-o", str(csv))

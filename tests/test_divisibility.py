@@ -407,6 +407,23 @@ def test_concentration_checks(c2):
     assert not no_mass.conditions[2].holds
 
 
+K_READERS = {
+    "lambda_for": lambda d0, K: fc.lambda_for(d0, 1.0, K),
+    "extract_jump": lambda d0, K: fc.extract_jump(d0, 1.0, K),
+    "exp_approx_error": lambda d0, K: fc.exp_approx_error(d0, 1.0, K, 1e-9),
+    "check_concentration": lambda d0, K: fc.check_concentration(d0, d0, 1.0, K, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_READERS))
+def test_K_must_be_an_integer(c2, name):
+    d0 = fc.dirac(c2, 0)
+    for K in (1.5, 2.0):
+        with pytest.raises(MeasureError, match="K must be a positive integer"):
+            K_READERS[name](d0, K)
+    K_READERS[name](d0, np.int64(2))
+
+
 # --- exponential fitting ---------------------------------------------------------------
 
 def test_fit_point_mass(j2):

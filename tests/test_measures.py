@@ -181,6 +181,36 @@ def test_mix_errors(c2, j2):
         fc.mix([1.5, -0.5], [d0, d0])
     with pytest.raises(MeasureError, match="mixture coefficients sum to inf"):
         fc.mix([1e308, 1e308], [d0, d0])
+    for coeffs in ([10**400, 0], ["a", 1]):
+        with pytest.raises(MeasureError, match="mixture coefficient must be finite and non-negative"):
+            fc.mix(coeffs, [d0, d0])
+
+
+# each number a caller picks, at the name that reads it: value -> the call;
+# mix's coefficients are test_mix_errors' cases
+NUMBER_READERS = {
+    "conv_exp-rate": lambda c2, v: fc.conv_exp(fc.dirac(c2, 1), v, 1e-9),
+    "conv_exp-tol": lambda c2, v: fc.conv_exp(fc.dirac(c2, 1), 1.0, v),
+    "levy_from_exponential": lambda c2, v: fc.levy_from_exponential(
+        fc.dirac(c2, 1), v, fc.make_timeline("uniform_grid", 2), 1e-9
+    ),
+    "SolverConfig": lambda c2, v: fc.SolverConfig(tol_residual=v),
+    "validate_levy": lambda c2, v: fc.validate_levy(fc.levy_from_root(fc.dirac(c2, 0), 2), v),
+    "check_concentration": lambda c2, v: fc.check_concentration(fc.dirac(c2, 0), fc.dirac(c2, 0), 1.0, 4, v),
+    "extract_jump": lambda c2, v: fc.extract_jump(fc.dirac(c2, 0), v, 4),
+    "lambda_for": lambda c2, v: fc.lambda_for(fc.dirac(c2, 1), v, 4),
+    "exp_approx_error": lambda c2, v: fc.exp_approx_error(fc.dirac(c2, 1), v, 4, 1e-9),
+    # a search bound with its own (0, 700] rule, so not given text
+    "fit_levy_khintchine": lambda c2, v: fc.fit_levy_khintchine(fc.dirac(c2, 0), r_max=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_READERS))
+def test_unreadable_numbers_are_measure_errors(c2, name):
+    values = [10**400] if name == "fit_levy_khintchine" else [10**400, "x"]
+    for v in values:
+        with pytest.raises(MeasureError, match=r"got (1000|'x')"):
+            NUMBER_READERS[name](c2, v)
 
 
 # --- convolution ----------------------------------------------------------------
