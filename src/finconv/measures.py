@@ -12,7 +12,8 @@ certificate: the addition table, its size and the neutral element all
 come from it.
 
 One rule reads every rate, tolerance, eps and mixture coefficient a caller
-passes, here and in divisibility and levy: _check_number.
+passes, here and in divisibility and levy: _check_number; another reads
+every power, root order, count of factors and solver count: _check_count.
 
 Summation discipline: scalar reductions use math.fsum (exactly rounded);
 the long vector accumulations in mixtures and the exponential series use
@@ -41,17 +42,17 @@ an independent computation.
 Exponentials: on a Clifford monoid, a union of groups (groups, chains,
 their products and relabellings: every monoid the catalog builds), conv_exp
 goes through the semicharacter transform (transform.py), built on first use
-and cached on the certificate: one forward transform of the jump measure
-per call, then per rate one pointwise exp(r(w_hat - 1)) and one inverse
-transform. Its error is rounding alone, at every rate; tol bounds the
-series' truncation. Other monoids, such as capped addition
-min(x + y, k), which is no union of groups, keep the Poisson series
-(_series_raw) up to rate 700 and the squaring scheme above it
+and cached on the certificate: per call, one forward transform of the jump
+measure, one pointwise exp(r(w_hat - 1)) over the stack of nonzero rates,
+and one stacked inverse transform. Its error is rounding alone, at every
+rate; tol bounds the series' truncation. Other monoids, such as capped
+addition min(x + y, k), which is no union of groups, keep the Poisson
+series (_series_raw) up to rate 700 and the squaring scheme above it
 (_squaring_raw). Every rate of conv_exps keeps the bits of its single
-conv_exp call: each rate reads only the forward transform, or sums its
-own Poisson weights with the compensated accumulator over the head of one
-stored chain of powers mu^(0*), mu^(1*), ..., as long as the largest rate
-needs.
+conv_exp call: its row of the stack reads only the forward transform, and
+the stacked inverse keeps each row's bits; or it sums its own Poisson
+weights with the compensated accumulator over the head of one stored chain
+of powers mu^(0*), mu^(1*), ..., as long as the largest rate needs.
 
 The series' chain is the one exception to the bits rule: it multiplies by
 the jump measure's right-multiplication operator op[x, z] = sum of w(y)
@@ -114,6 +115,18 @@ def _check_number(value, what: str, positive: bool = False) -> float:
     if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
         raise MeasureError(f"{what} must be finite and {'positive' if positive else 'non-negative'}, got {value}")
     return x
+
+
+def _check_count(value, what: str, least: int) -> int:
+    """operator.index(value), an integer that must be at least `least`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n, value = None, reprlib.repr(value)
+    if n is None or n < least:
+        bound = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer of at least {least}")
+        raise MeasureError(f"{what} must be {bound}, got {value}")
+    return n
 
 
 def _check_unit_sum(values: list[float], error: type[Exception], what: str) -> None:
@@ -222,7 +235,7 @@ def _powers_raw(cert: SemigroupCertificate, a: np.ndarray, ns) -> list[np.ndarra
     drift, (1 + a few ulp)^(2^j), which overflows past j ~ 62; exponents
     < 2^32 keep their bits.
     """
-    ns = list(map(operator.index, ns))
+    ns = list(ns)  # Python ints: a public count passes _check_count first
     products = {1: a}  # prefix bits -> product of their squares
     if 0 in ns:  # the unit, built on demand: descent steps call this
         products[0] = np.zeros(a.shape)
@@ -283,9 +296,7 @@ def conv_power(mu: Measure, n: int) -> Measure:
 
 def conv_powers(mu: Measure, ns) -> list[Measure]:
     """conv_power(mu, n) for each n in order, sharing one chain of squares."""
-    ns = list(ns)
-    if any(n < 0 for n in ns):
-        raise MeasureError("convolution power requires n >= 0")
+    ns = [_check_count(n, "convolution power", 0) for n in ns]
     raw = _powers_raw(certificate_of(mu.structure), mu.weights, ns)
     return [mu if n == 1 else _from_raw(mu.structure, w) for n, w in zip(ns, raw)]
 
@@ -344,8 +355,8 @@ def _squaring_raw(cert: SemigroupCertificate, w, r, tol) -> np.ndarray:
 
 def _transform_exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates) -> list[np.ndarray]:
     """exp(r(w - delta_0)) for each rate on a Clifford monoid: one forward
-    semicharacter transform of w, then per rate exp(r(w_hat - 1)) pointwise
-    and one inverse transform; rate 0 is the point mass at 0 exactly.
+    semicharacter transform of w, exp(r(w_hat - 1)) over the stack of nonzero
+    rates, one stacked inverse; rate 0 is the point mass at 0 exactly.
 
     A semicharacter that is 1 on the whole support of w has w_hat = 1, and
     keeps the value 1 at every rate, so that the largest rates reach their
@@ -362,15 +373,14 @@ def _transform_exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates) -> lis
     z[support_hat.real > np.count_nonzero(support) - sc.margin] = 0.0
     decay = np.minimum(z.real, 0.0)
     turn = np.clip(z.imag, -1.0, 1.0)  # |w_hat| <= 1, so r * turn stays finite
-    out = []
-    for r in rates:
-        if r == 0:
-            unit = np.zeros(w.shape[0])
-            unit[cert.zero] = 1.0
-            out.append(unit)
-        else:
-            out.append(sc.inverse(np.exp(r * np.maximum(decay, -746.0 / r) + 1j * (r * turn))))
-    return out
+    rates = np.array(rates, dtype=np.float64)
+    out = np.zeros((rates.size, w.shape[0]))
+    out[:, cert.zero] = 1.0  # the rows of rate 0
+    r = rates[rates != 0, None]
+    with np.errstate(over="ignore"):  # a subnormal rate cuts at -inf: no cut
+        cut = -746.0 / r
+    out[rates != 0] = sc.inverse(np.exp(r * np.maximum(decay, cut) + 1j * (r * turn)))
+    return list(out)
 
 
 def _exps_raw(cert: SemigroupCertificate, w: np.ndarray, rates, tol) -> list[np.ndarray]:
@@ -403,7 +413,8 @@ def conv_exps(mu: Measure, rates, tol: float) -> list[Measure]:
     """conv_exp(mu, r, tol) for each rate in order, each with the bits of
     its single call.
 
-    On a Clifford monoid the rates share one forward transform of mu;
+    On a Clifford monoid the rates share one forward transform of mu, one
+    pointwise function over the stack of rates and one stacked inverse;
     elsewhere the rates up to 700 share one chain of powers (_exps_raw).
     """
     rates = [_check_number(r, "rate") for r in rates]

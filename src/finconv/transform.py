@@ -18,9 +18,10 @@ transform on the cyclic coordinates of G_f then gives every
 psi-coefficient at once. Inverse: the inverse transform gives back each
 nu_f, and the measure on G_f is sum over g <= f of moebius(g, f) times nu_g
 pushed along y -> y + f, with the semilattice's Moebius function as exact
-integers. The cached state is O(m) plus the nonzeros of that Moebius step;
-the forward pairs are gathered on each call. np.fft and np.bincount are
-deterministic, so a transform has the same bits on every BLAS build.
+integers. Both pushes are index maps built once: the forward pairs and the
+Moebius nonzeros. A stack (B, m) takes one bincount and one FFT per block,
+each row with its own call's bits, and no BLAS: one forward transform, one
+pointwise function and one stacked inverse give a convolution semigroup.
 
 Each group is split into cyclic factors by element orders: take an element
 of the largest order modulo the factors so far, and move it by those
@@ -39,15 +40,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Semicharacters:
-    """The transform of one Clifford monoid. A transform is an array whose
-    last axis has m entries, one per semicharacter, in `slots` order."""
+    """The transform of one Clifford monoid: an array whose last axis has m
+    entries, one per semicharacter, in `slots` order."""
 
-    add_table: np.ndarray
-    idempotent: np.ndarray  # e(x) for each x
-    idempotents: np.ndarray  # the distinct e(x), increasing
     slots: np.ndarray  # elements grouped by shape and group, each group in coordinate order
     blocks: tuple[tuple[int, int, tuple[int, ...]], ...]  # (first slot, groups, group shape) per shape
-    moebius_src: np.ndarray  # the inverse's Moebius step: weight at y ...
+    push_src: np.ndarray  # the forward push: weight at x ...
+    push_dst: np.ndarray  # ... moves to x + f for each idempotent f >= e(x)
+    moebius_src: np.ndarray  # the inverse's Moebius step: weight at the slot of y ...
     moebius_dst: np.ndarray  # ... moves to y + f ...
     moebius_coef: np.ndarray  # ... times moebius(e(y), f)
     margin: float  # a chi(x) other than 1 has real part more than 4 margins below 1
@@ -66,32 +66,35 @@ class Semicharacters:
         return mask
 
     def forward(self, w: np.ndarray) -> np.ndarray:
-        """The transform of each row of a stack (B, m)."""
-        xs, fs = np.nonzero(self.add_table[np.ix_(self.idempotent, self.idempotents)] == self.idempotents)
-        dst = self.add_table[xs, self.idempotents[fs]]  # x -> x + f wherever e(x) <= f
-        m = w.shape[-1]
-        nu = np.array([np.bincount(dst, weights=row[xs], minlength=m) for row in w])[:, self.slots]
-        out = nu.astype(complex)
-        for lo, count, shape in self.blocks:
-            if shape:
-                hi = lo + count * math.prod(shape)
-                block = nu[:, lo:hi].reshape((-1, count) + shape)
-                out[:, lo:hi] = np.fft.fftn(block, axes=range(2, 2 + len(shape))).reshape(-1, hi - lo)
-        return out
+        """The transform of a vector (m,), or of each row of a stack (B, m)."""
+        rows = np.atleast_2d(w)
+        nu = _scatter(self.push_dst, rows[:, self.push_src], rows.shape[1])[:, self.slots]
+        return self._fft_groups(nu, np.fft.fftn).reshape(w.shape)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        """The real vector (m,) whose transform is values."""
-        nu = values.real.copy()
+        """The real vector (m,), or stack (B, m), whose transform is values."""
+        nu = self._fft_groups(np.atleast_2d(values), np.fft.ifftn).real
+        pushed = _scatter(self.moebius_dst, self.moebius_coef * nu[:, self.moebius_src], nu.shape[1])
+        return pushed.reshape(values.shape)
+
+    def _fft_groups(self, rows: np.ndarray, fftn) -> np.ndarray:
+        """The stack (B, m) as complex, with each group's slots replaced by
+        their fftn over its cyclic coordinates, in one call per block."""
+        out = rows.astype(complex)
         for lo, count, shape in self.blocks:
             if shape:
                 hi = lo + count * math.prod(shape)
-                block = values[lo:hi].reshape((count,) + shape)
-                nu[lo:hi] = np.fft.ifftn(block, axes=range(1, 1 + len(shape))).real.ravel()
-        by_element = np.empty_like(nu)
-        by_element[self.slots] = nu
-        return np.bincount(
-            self.moebius_dst, weights=self.moebius_coef * by_element[self.moebius_src], minlength=nu.size
-        )
+                block = rows[:, lo:hi].reshape((-1, count) + shape)
+                out[:, lo:hi] = fftn(block, axes=range(2, 2 + len(shape))).reshape(-1, hi - lo)
+        return out
+
+
+def _scatter(dst: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """Each row of weights (B, k) summed at the indices dst (k,) of its row of m:
+    one bincount over row-offset indices, each sum in dst's order as per row."""
+    rows = weights.shape[0]
+    at = (dst + m * np.arange(rows)[:, None]).ravel()
+    return np.bincount(at, weights=weights.ravel(), minlength=rows * m).reshape(rows, m)
 
 
 def _idempotent_powers(add: np.ndarray) -> np.ndarray:
@@ -144,9 +147,7 @@ def _moebius(add: np.ndarray, idempotents: np.ndarray) -> np.ndarray | None:
     below = add[np.ix_(idempotents, idempotents)] == idempotents  # below[g, f]: g <= f
     moebius = np.zeros((k, k), dtype=np.int64)
     for f in np.argsort(below.sum(axis=0), kind="stable"):  # every g < f comes before f
-        strict = below[:, f].copy()
-        strict[f] = False
-        column = -moebius[:, strict].sum(axis=1)
+        column = -moebius[:, below[:, f]].sum(axis=1)  # column f itself is still 0
         column[f] = 1
         if np.abs(column).sum() > add.shape[0] ** 2:
             return None
@@ -175,20 +176,19 @@ def semicharacters(add: np.ndarray) -> Semicharacters | None:
     for shape, arrays in groups.items():
         blocks.append((sum(map(np.size, slots)), len(arrays), shape))
         slots.extend(a.ravel() for a in arrays)
-    low, high = np.nonzero(moebius)
-    src = [np.flatnonzero(e == idempotents[g]) for g in low]
-    sizes = [s.size for s in src]
-    src = np.concatenate(src)
-    dst = add[src, np.repeat(idempotents[high], sizes)]
-    gap = 1.0 - math.cos(2 * math.pi / max(4, m))
+    slots = np.concatenate(slots)
+    xs, fs = np.nonzero(add[np.ix_(e, idempotents)] == idempotents)  # the pairs (x, f) with e(x) <= f
+    dst = add[xs, idempotents[fs]]
+    gs = np.searchsorted(idempotents, e[xs])
+    step = np.lexsort((xs, fs, gs))  # the Moebius step, summed in the order e(x), f, x ...
+    step = step[moebius[gs[step], fs[step]] != 0]  # ... where moebius(e(x), f) is not 0
     return Semicharacters(
-        add_table=add,
-        idempotent=e,
-        idempotents=idempotents,
-        slots=np.concatenate(slots),
+        slots=slots,
         blocks=tuple(blocks),
-        moebius_src=src,
-        moebius_dst=dst,
-        moebius_coef=np.repeat(moebius[low, high], sizes).astype(np.float64),
-        margin=gap / 4,
+        push_src=xs,
+        push_dst=dst,
+        moebius_src=np.argsort(slots)[xs[step]],
+        moebius_dst=dst[step],
+        moebius_coef=moebius[gs[step], fs[step]].astype(np.float64),
+        margin=(1.0 - math.cos(2 * math.pi / max(4, m))) / 4,
     )

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -422,6 +423,33 @@ def test_K_must_be_an_integer(c2, name):
         with pytest.raises(MeasureError, match="K must be a positive integer"):
             K_READERS[name](d0, K)
     K_READERS[name](d0, np.int64(2))
+
+
+QUICK = fc.SolverConfig(restarts=1, max_iters=1)
+COUNT_READERS = {
+    "conv_power": lambda d0, n: fc.conv_power(d0, n),
+    "conv_powers": lambda d0, n: fc.conv_powers(d0, [n]),
+    "nth_root": lambda d0, n: fc.nth_root(d0, n, QUICK),
+    "power_gradient": lambda d0, n: fc.power_gradient(d0, n, d0),
+    "semilattice_root_oracle": lambda d0, n: fc.semilattice_root_oracle(d0, n),
+    "is_infinitely_divisible": lambda d0, n: fc.is_infinitely_divisible(d0, n, QUICK),
+    "seed": lambda d0, n: fc.SolverConfig(seed=n),
+    "restarts": lambda d0, n: fc.SolverConfig(restarts=n),
+    "max_iters": lambda d0, n: fc.SolverConfig(max_iters=n),
+    "K": lambda d0, n: fc.lambda_for(d0, 1.0, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_READERS))
+def test_counts_are_read_by_one_rule(j3, name):
+    """Every power, root order, solver count and K is an integer that
+    operator.index reads, here on J3, where the root oracle applies; the
+    message names a long value in short."""
+    d0 = fc.dirac(j3, 0)
+    for n, shown in [(2.5, "2.5"), (2.0, "2.0"), ("3", "'3'"), (-1, "-1"), (list(range(1000)), "[0, 1, 2, 3, 4, 5, ...]")]:
+        with pytest.raises(MeasureError, match=rf"integer.*, got {re.escape(shown)}$"):
+            COUNT_READERS[name](d0, n)
+    COUNT_READERS[name](d0, np.int64(2))
 
 
 # --- exponential fitting ---------------------------------------------------------------

@@ -1,10 +1,16 @@
 """The test settings and tools themselves: a failing property test must be
-reported as a failure with its falsifying example, not abort the run, and
-the golden script's check must name the largest changes of a case."""
+reported as a failure with its falsifying example, not abort the run, the
+golden script's check must name the largest changes of a case, and the
+console script must be what `python -m finconv` runs."""
 
+import importlib
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -73,3 +79,17 @@ def test_golden_check_names_the_largest_changes():
     )
     # a line that only one side has
     assert describe_change("[1]\n", "[1]\n[2]\n") == "the text changes beyond its numbers, first at '' -> '[2]'"
+
+
+def test_console_script_runs_what_python_m_runs(monkeypatch):
+    """The `finconv` script that pyproject.toml declares calls the function
+    that `python -m finconv` calls. The file is read with a regex, as
+    Python 3.10 has no tomllib."""
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", PYPROJECT.read_text(), re.M | re.S).group(1)
+    module, name = re.search(r'^finconv\s*=\s*"([\w.]+):(\w+)"$', scripts, re.M).groups()
+    called = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: called.append(name) or 0)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("finconv", run_name="__main__")
+    assert (module, name) == ("finconv.cli", "main")
+    assert called == [name] and exit_.value.code == 0

@@ -31,6 +31,7 @@ from helpers import capped_addition, catalog_monoid, certified
 
 SETTINGS = settings(max_examples=40, deadline=None)
 RATES = (0.3, 7.0, 150.0, 699.0, 701.0, 5000.0)
+BENCHMARK_MONOIDS = [("cyclic", 256, 0, -1), ("product", 16, 16, 5), ("chain", 256, 0, 5)]
 
 
 @st.composite
@@ -79,7 +80,7 @@ def test_transform_matches_the_series(mu):
 
 
 @SETTINGS
-@given(clifford_measures(), st.lists(st.sampled_from((0.0, 1e-300, 0.5, 3.0, 700.0, 1e5, 1e300)), max_size=5))
+@given(clifford_measures(), st.lists(st.sampled_from((0.0, 5e-324, 1e-300, 0.5, 3.0, 700.0, 1e5, 1e300)), max_size=5))
 def test_rates_keep_their_single_call_bits(mu, rates):
     together = fc.conv_exps(mu, rates, 1e-9)
     for r, got in zip(rates, together):
@@ -103,7 +104,7 @@ def _check_multiplicative_and_invertible(s, seed):
     points = sc.forward(np.eye(s.size)[[x, y, cert.add_table[x, y]]])
     assert np.abs(points[0] * points[1] - points[2]).max() <= 1e-12
     w = rng.standard_normal(s.size)
-    assert np.abs(sc.inverse(sc.forward(w[None, :])[0]) - w).max() <= 1e-12
+    assert np.abs(sc.inverse(sc.forward(w)) - w).max() <= 1e-12
 
 
 @SETTINGS
@@ -113,7 +114,7 @@ def test_transform_is_multiplicative_and_invertible(s, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind,a,b,perm_seed", [("cyclic", 256, 0, -1), ("product", 16, 16, 5), ("chain", 256, 0, 5)])
+@pytest.mark.parametrize("kind,a,b,perm_seed", BENCHMARK_MONOIDS)
 def test_transform_is_multiplicative_and_invertible_at_m256(kind, a, b, perm_seed, seed):
     """The zoo above stops at m = 32; the benchmark's monoids are Z256, the
     relabelled Z16 x J16 and the relabelled J256."""
@@ -146,13 +147,53 @@ def test_real_mask_marks_the_real_semicharacters_at_m256(kind, a, b, perm_seed):
 @SETTINGS
 @given(clifford_monoids())
 def test_cached_state_holds_no_square_matrix(s):
-    """Besides the certificate's own table, every array is a vector of at
-    most m entries or of the Moebius step's nonzeros."""
+    """Every array is a vector: of at most m entries, of the forward pairs
+    (x, f) with e(x) <= f, or of the Moebius step's nonzeros. The forward
+    pairs are the most, m(m + 1)/2 on a chain: 32,896 pairs, about 0.5 MB,
+    on J256."""
     sc = certificate_of(s).semicharacters
     for name, value in vars(sc).items():
-        if isinstance(value, np.ndarray) and name != "add_table":
+        if isinstance(value, np.ndarray):
             assert value.ndim == 1, name
-    assert np.shares_memory(sc.add_table, certificate_of(s).add_table)
+
+
+BENCHMARK_RATES = [k / 16 * r for r in (1.0, 20.0, 200.0) for k in range(17)]
+
+
+@pytest.mark.parametrize("kind,a,b,perm_seed", BENCHMARK_MONOIDS)
+def test_rates_keep_their_single_call_bits_at_m256(kind, a, b, perm_seed):
+    """The benchmark's rates, t r on the 16-step grid for r = 1, 20 and 200,
+    on its three monoids: the zoo above stops at m = 32."""
+    s = catalog_monoid(kind, a, b, perm_seed)
+    mu = fc.measure(s, np.random.default_rng(7).dirichlet(np.ones(s.size)))
+    together = fc.conv_exps(mu, BENCHMARK_RATES, 1e-9)
+    for r, got in zip(BENCHMARK_RATES, together):
+        assert got.weights.tobytes() == fc.conv_exp(mu, r, 1e-9).weights.tobytes(), r
+
+
+def _check_stacks_keep_row_bits(s, seed):
+    """A stack (B, m) through forward or inverse has the bits of its rows'
+    own calls; an empty stack, all rates 0 in conv_exps, stays empty."""
+    sc = certificate_of(s).semicharacters
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((5, s.size))
+    values = w + 1j * rng.standard_normal((5, s.size))
+    for row, got in zip(w, sc.forward(w)):
+        assert got.tobytes() == sc.forward(row).tobytes()
+    for row, got in zip(values, sc.inverse(values)):
+        assert got.tobytes() == sc.inverse(row).tobytes()
+    assert sc.inverse(values[:0]).shape == (0, s.size)
+
+
+@SETTINGS
+@given(clifford_monoids(), st.integers(0, 2**16))
+def test_stacked_transforms_keep_row_bits(s, seed):
+    _check_stacks_keep_row_bits(s, seed)
+
+
+@pytest.mark.parametrize("kind,a,b,perm_seed", BENCHMARK_MONOIDS)
+def test_stacked_transforms_keep_row_bits_at_m256(kind, a, b, perm_seed):
+    _check_stacks_keep_row_bits(catalog_monoid(kind, a, b, perm_seed), 3)
 
 
 def test_diamond_lattice_takes_the_transform():
